@@ -45,7 +45,7 @@ class MatchSink {
 // What a session does when a delivery arrives and its queue is full.
 enum class BackpressurePolicy : uint8_t {
   // Block the delivering thread until the consumer frees a slot (the same
-  // flow control the engine's BoundedQueue applies between stages). During
+  // flow control the engine's SPSC rings apply between stages). During
   // engine drain (Stop()) blocking degrades to kDropNewest so a stalled
   // consumer can never wedge shutdown.
   kBlock = 0,

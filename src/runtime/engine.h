@@ -85,11 +85,6 @@ class Engine {
   static bool Recover(const std::string& dir, RecoveredState* out);
 };
 
-// Compatibility wrapper for the original free-function runtime: constructs
-// a ThreadedEngine over `cluster` and runs `input` through it.
-RunReport RunThreaded(Cluster& cluster, const std::vector<StreamTuple>& input,
-                      const EngineOptions& options);
-
 }  // namespace ps2
 
 #endif  // PS2_RUNTIME_ENGINE_H_

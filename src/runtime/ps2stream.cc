@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 
-#include "adjust/touch_tracking_executor.h"
 #include "common/stopwatch.h"
-#include "partition/plan.h"
 
 namespace ps2 {
 
@@ -25,6 +23,17 @@ ShardedEngineConfig FabricConfig(const PS2StreamOptions& options) {
   return config;
 }
 
+// The single-engine host's share of the facade's option block.
+EngineHost::Options HostOptions(const PS2StreamOptions& options) {
+  EngineHost::Options host;
+  host.cluster = options.cluster;
+  host.auto_adjust = options.auto_adjust;
+  host.adjust_check_interval = options.adjust_check_interval;
+  host.adjust = options.adjust;
+  host.window_capacity = options.window_capacity;
+  return host;
+}
+
 }  // namespace
 
 PS2Stream::PS2Stream(PS2StreamOptions options)
@@ -33,9 +42,6 @@ PS2Stream::PS2Stream(PS2StreamOptions options)
       quota_(options_.quota),
       overload_(options_.overload),
       alive_(std::make_shared<int>(0)) {
-  LoadControllerConfig config;
-  config.adjust = options_.adjust;
-  controller_ = std::make_unique<LoadController>(config);
   // Top-k admission sits between the router's dedup window and the
   // sessions; with no top-k subscriptions registered it is one relaxed
   // atomic load per batch.
@@ -52,10 +58,10 @@ PS2Stream::~PS2Stream() {
   // cross-thread teardown — like the rest of the control plane, handles
   // and the facade must be destroyed from one thread.
   alive_.reset();
-  // Through Stop(), not engine_->Stop(): the facade variant puts sessions
-  // into draining mode first, so a worker parked on a full kBlock session
-  // cannot wedge the join.
-  if (started()) Stop();
+  // Through Stop(), not the engine's: the facade variant puts sessions into
+  // draining mode first, so a worker parked on a full kBlock session cannot
+  // wedge the join. A no-op when nothing is started.
+  Stop();
 }
 
 void PS2Stream::Bootstrap(const WorkloadSample& sample) {
@@ -69,41 +75,13 @@ void PS2Stream::Bootstrap(const WorkloadSample& sample) {
     fabric_->Bootstrap(sample);
     return;
   }
-  auto partitioner = MakePartitioner(options_.partitioner);
-  PartitionPlan plan;
-  if (partitioner != nullptr && !sample.empty()) {
-    plan = partitioner->Build(sample, vocab_, options_.partition);
-  } else {
-    // No sample (or unknown partitioner): uniform grid assignment so the
-    // service still works; the first global adjustment can fix it later.
-    plan.grid = GridSpec(sample.empty() ? Rect(0, 0, 1, 1) : sample.Bounds(),
-                         options_.partition.grid_k);
-    plan.num_workers = options_.partition.num_workers;
-    plan.cells.resize(plan.grid.NumCells());
-    for (CellId c = 0; c < plan.grid.NumCells(); ++c) {
-      plan.cells[c].worker =
-          static_cast<WorkerId>(c % options_.partition.num_workers);
-    }
-  }
-  cluster_ = std::make_unique<Cluster>(std::move(plan), &vocab_,
-                                       options_.cluster);
+  host_ = std::make_unique<EngineHost>(HostOptions(options_), &vocab_,
+                                       delivery_.get());
+  host_->Bootstrap(EngineHost::BuildPlan(options_.partitioner, sample, vocab_,
+                                         options_.partition));
   if (options_.durability.enabled && !options_.durability.dir.empty()) {
-    // The bootstrap state (vocab + plan, no queries yet) is recovery point
-    // zero; every later mutation reaches the WAL before it takes effect.
-    durability_ = std::make_unique<DurabilityManager>(options_.durability);
-    CheckpointView view;
-    view.next_query_id = next_query_id_;
-    view.next_object_id = next_object_id_;
-    view.vocab = &vocab_;
-    const PartitionPlan& current = cluster_->router().plan();
-    view.plan = &current;
-    std::shared_ptr<const RoutingSnapshot> snapshot;
-    if (options_.durability.include_snapshot) {
-      SnapshotRouter router(&cluster_->router());
-      snapshot = router.Current();
-      view.snapshot = snapshot.get();
-    }
-    if (!durability_->Initialize(view)) durability_.reset();
+    host_->InitDurability(options_.durability, next_query_id_,
+                          next_object_id_);
   }
 }
 
@@ -129,127 +107,68 @@ bool PS2Stream::Restore(const std::string& dir) {
       return false;
     }
     fabric_ = std::move(fabric);
-    subscriptions_.clear();
-    for (const STSQuery& q : recovery.queries) {
-      subscriptions_[q.id] = q;
-      if (q.cls == SubscriptionClass::kTopK) topk_.Register(q.id, q.k);
-      // Quota charges are runtime state, not persisted: recovered
-      // subscriptions re-charge against the default tenant (attribution is
-      // lost across a crash) and are never rejected.
-      quota_.ChargeRestored(q.id, std::string());
+    AdoptRecovered(recovery.queries, recovery.topk, recovery.next_query_id,
+                   recovery.next_object_id);
+  } else {
+    auto state = std::make_unique<RecoveredState>();
+    if (!RecoverState(config.dir, state.get())) return false;
+    vocab_ = std::move(state->vocab);
+    auto host = std::make_unique<EngineHost>(HostOptions(options_), &vocab_,
+                                             delivery_.get());
+    if (!host->Recover(*state, config)) {
+      // Recovery loaded but logging cannot continue: succeeding here would
+      // leave a service that silently loses every post-restore mutation.
+      // Fail wholesale; the caller keeps a virgin instance.
+      vocab_ = Vocabulary();
+      return false;
     }
-    live_subscriptions_.store(subscriptions_.size(),
-                              std::memory_order_relaxed);
-    topk_.Restore(recovery.topk);
-    next_query_id_ = recovery.next_query_id;
-    next_object_id_ = recovery.next_object_id;
-    options_.durability = config;
-    return true;
+    host_ = std::move(host);
+    AdoptRecovered(state->queries, state->topk, state->next_query_id,
+                   state->next_object_id);
+    recovered_ = std::move(state);
   }
+  options_.durability = config;
+  return true;
+}
 
-  auto state = std::make_unique<RecoveredState>();
-  if (!RecoverState(config.dir, state.get())) return false;
-
-  vocab_ = std::move(state->vocab);
-  cluster_ = std::make_unique<Cluster>(state->plan, &vocab_,
-                                       options_.cluster);
-  next_query_id_ = state->next_query_id;
-  next_object_id_ = state->next_object_id;
+void PS2Stream::AdoptRecovered(const std::vector<STSQuery>& queries,
+                               const TopKCheckpoint& topk,
+                               QueryId next_query_id,
+                               ObjectId next_object_id) {
   subscriptions_.clear();
-  for (const STSQuery& q : state->queries) {
+  for (const STSQuery& q : queries) {
     subscriptions_[q.id] = q;
     if (q.cls == SubscriptionClass::kTopK) topk_.Register(q.id, q.k);
+    // Quota charges are runtime state, not persisted: recovered
+    // subscriptions re-charge against the default tenant (attribution is
+    // lost across a crash) and are never rejected.
     quota_.ChargeRestored(q.id, std::string());
-    // Re-inserting through the recovered plan rebuilds the gridt H2 entries
-    // and the per-worker GI2 indexes in one pass.
-    cluster_->Process(StreamTuple::OfInsert(q));
   }
   live_subscriptions_.store(subscriptions_.size(), std::memory_order_relaxed);
   // Heap state restores after registration (Restore drops entries of
   // queries that are no longer live — e.g. unsubscribed after the
   // checkpoint and replayed from the WAL).
-  topk_.Restore(state->topk);
-  cluster_->ResetLoadWindow();
-
-  durability_ = std::make_unique<DurabilityManager>(config);
-  // Resume logging on the *last* segment of the replayed chain, not the
-  // committed checkpoint's: a crash between WAL rotation and checkpoint
-  // commit leaves an orphan later segment, and appending to an earlier one
-  // would let the next recovery's LSN high-water filter the orphan's
-  // records out.
-  const uint64_t resume_seq =
-      state->checkpoint_seq +
-      (state->wal_segments > 0
-           ? static_cast<uint64_t>(state->wal_segments) - 1
-           : 0);
-  if (!durability_->Resume(resume_seq, state->last_lsn + 1)) {
-    // Recovery loaded but logging cannot continue: succeeding here would
-    // leave a service that silently loses every post-restore mutation.
-    // Fail wholesale; the caller keeps a virgin instance.
-    durability_.reset();
-    cluster_.reset();
-    for (const auto& [id, q] : subscriptions_) quota_.Refund(id);
-    live_subscriptions_.store(0, std::memory_order_relaxed);
-    subscriptions_.clear();
-    vocab_ = Vocabulary();
-    next_query_id_ = 1;
-    next_object_id_ = 1;
-    return false;
-  }
-  options_.durability = config;
-  recovered_ = std::move(state);
-  return true;
+  topk_.Restore(topk);
+  next_query_id_ = next_query_id;
+  next_object_id_ = next_object_id;
 }
 
 bool PS2Stream::Checkpoint() {
+  if (!bootstrapped()) return false;
+  const TopKCheckpoint topk_cp = topk_.Checkpoint();
   if (fabric_ != nullptr) {
-    const TopKCheckpoint topk_cp = topk_.Checkpoint();
     return fabric_->Checkpoint(next_query_id_, next_object_id_, &topk_cp);
   }
-  if (durability_ == nullptr || !bootstrapped()) return false;
-  const uint64_t seq = durability_->BeginCheckpoint();
-  if (seq == 0) return false;
-  return CommitCheckpointLocked(seq);
-}
-
-bool PS2Stream::CommitCheckpointLocked(uint64_t seq) {
-  // Ordering matters: the WAL was already rotated (BeginCheckpoint), so any
-  // migration the controller installs from here on lands in the new
-  // segment; the plan copy below is taken under the routing writer lock and
-  // therefore sees every migration journaled to the *old* segment. Either
-  // way nothing is lost, and replaying an already-captured route is
-  // idempotent.
-  CheckpointView view;
-  view.next_query_id = next_query_id_;
-  view.next_object_id = next_object_id_;
-  view.vocab = &vocab_;
-  PartitionPlan plan = started() ? engine_->PlanCopy()
-                                 : cluster_->router().plan();
-  view.plan = &plan;
-  std::shared_ptr<const RoutingSnapshot> snapshot;
-  std::unique_ptr<SnapshotRouter> sync_router;
-  if (options_.durability.include_snapshot) {
-    if (started()) {
-      snapshot = engine_->routing_snapshot();
-    } else {
-      sync_router = std::make_unique<SnapshotRouter>(&cluster_->router());
-      snapshot = sync_router->Current();
-    }
-    view.snapshot = snapshot.get();
-  }
-  view.queries.reserve(subscriptions_.size());
-  for (const auto& [id, q] : subscriptions_) view.queries.push_back(&q);
-  const TopKCheckpoint topk_cp = topk_.Checkpoint();
-  view.topk = &topk_cp;
-  return durability_->CommitCheckpoint(seq, std::move(view));
+  std::vector<const STSQuery*> queries;
+  queries.reserve(subscriptions_.size());
+  for (const auto& [id, q] : subscriptions_) queries.push_back(&q);
+  return host_->Checkpoint(next_query_id_, next_object_id_,
+                           std::move(queries), &topk_cp);
 }
 
 void PS2Stream::MaybeCheckpoint() {
-  if (fabric_ != nullptr) {
-    if (fabric_->ShouldCheckpoint()) Checkpoint();
-    return;
-  }
-  if (durability_ != nullptr && durability_->ShouldCheckpoint()) {
+  if (fabric_ != nullptr ? fabric_->ShouldCheckpoint()
+                         : host_->ShouldCheckpoint()) {
     Checkpoint();
   }
 }
@@ -259,12 +178,7 @@ void PS2Stream::Kill() {
   // blocked on a full kBlock queue so Abort() can join the threads.
   delivery_->SetDraining(true);
   if (fabric_ != nullptr) fabric_->Kill();
-  if (engine_ != nullptr && engine_->running()) engine_->Abort();
-  engine_.reset();
-  // Abandon, not Close: a graceful close would flush the WAL's pending
-  // batch, making the "crash" more durable than the sync mode guaranteed.
-  if (durability_ != nullptr) durability_->Abandon();
-  durability_.reset();
+  if (host_ != nullptr) host_->Abort();
   killed_ = true;
   // The in-memory cluster and subscription map are left readable for
   // post-mortem inspection (tests compare them against what recovery
@@ -275,19 +189,9 @@ void PS2Stream::Start() {
   if (!bootstrapped() || started()) return;
   if (fabric_ != nullptr) {
     fabric_->Start();
-    return;
+  } else {
+    host_->Start(options_.engine);
   }
-  EngineOptions opts = options_.engine;
-  opts.window_capacity = options_.window_capacity;
-  if (options_.auto_adjust) {
-    opts.controller.enabled = true;
-    opts.controller.config.adjust = options_.adjust;
-    opts.controller.min_tuples = options_.adjust_check_interval;
-  }
-  if (durability_ != nullptr) opts.wal = &durability_->wal();
-  opts.delivery = delivery_.get();
-  engine_ = std::make_unique<ThreadedEngine>(*cluster_, opts);
-  engine_->Start();
 }
 
 RunReport PS2Stream::Stop() {
@@ -297,20 +201,9 @@ RunReport PS2Stream::Stop() {
   // consumer that stopped pulling would park a worker thread forever and
   // Stop() could never join it.
   delivery_->SetDraining(true);
-  RunReport report =
-      fabric_ != nullptr ? fabric_->Stop() : engine_->Stop();
+  RunReport report = fabric_ != nullptr ? fabric_->Stop() : host_->Stop();
   delivery_->SetDraining(false);
-  const SessionStats sessions = delivery_->AggregateStats();
-  report.session_deliveries = sessions.delivered;
-  report.session_drops = sessions.dropped;
-  report.matches_unrouted = delivery_->unrouted();
-  report.delivery_latency = sessions.latency;
-  report.quota_rejections = quota_.rejections();
-  report.rate_limited = quota_.rate_limited();
-  report.overload_trips = overload_.trips();
-  report.overload_sheds = overload_.sheds();
-  report.live_subscriptions =
-      live_subscriptions_.load(std::memory_order_relaxed);
+  OverlayLiveCounters(&report);
   {
     // Base layer for MetricsSnapshot(): the engine-internal counters (ring
     // highwaters, migrations, fault tallies) are only assembled here.
@@ -331,11 +224,7 @@ PS2Stream::SessionPtr PS2Stream::OpenSession(SessionOptions options) {
 StatusOr<Subscription> PS2Stream::Subscribe(const SessionPtr& session,
                                             const std::string& expression,
                                             const Rect& region) {
-  if (killed_) return Status::Unavailable("service was killed");
-  if (!bootstrapped()) {
-    return Status::FailedPrecondition(
-        "Bootstrap() or Restore() must succeed before Subscribe");
-  }
+  if (const Status st = ServiceGate("Subscribe"); !st.ok()) return st;
   std::string parse_error;
   BoolExpr expr = BoolExpr::Parse(expression, vocab_, &parse_error);
   if (expr.has_error()) {
@@ -351,17 +240,12 @@ StatusOr<Subscription> PS2Stream::Subscribe(const SessionPtr& session,
   q.id = next_query_id_++;
   q.expr = std::move(expr);
   q.region = region;
-  if (const Status st = ApplySubscribe(q, session); !st.ok()) return st;
-  return Subscription(q.id, this, alive_);
+  return ApplySubscribe(q, session);
 }
 
 StatusOr<Subscription> PS2Stream::Subscribe(const SessionPtr& session,
                                             const STSQuery& query) {
-  if (killed_) return Status::Unavailable("service was killed");
-  if (!bootstrapped()) {
-    return Status::FailedPrecondition(
-        "Bootstrap() or Restore() must succeed before Subscribe");
-  }
+  if (const Status st = ServiceGate("Subscribe"); !st.ok()) return st;
   if (query.id == 0) {
     return Status::InvalidArgument("query id 0 is reserved");
   }
@@ -374,31 +258,21 @@ StatusOr<Subscription> PS2Stream::Subscribe(const SessionPtr& session,
   }
   if (const Status st = ValidateQuerySpec(query); !st.ok()) return st;
   if (const Status gate = DurabilityGate(); !gate.ok()) return gate;
-  if (const Status st = ApplySubscribe(query, session); !st.ok()) return st;
-  return Subscription(query.id, this, alive_);
+  return ApplySubscribe(query, session);
 }
 
 StatusOr<Subscription> PS2Stream::Subscribe(const SessionPtr& session,
                                             const SubscriptionSpec& spec) {
-  if (killed_) return Status::Unavailable("service was killed");
-  if (!bootstrapped()) {
-    return Status::FailedPrecondition(
-        "Bootstrap() or Restore() must succeed before Subscribe");
-  }
+  if (const Status st = ServiceGate("Subscribe"); !st.ok()) return st;
   STSQuery q;
   if (const Status st = CompileSpec(spec, vocab_, &q); !st.ok()) return st;
   if (const Status gate = DurabilityGate(); !gate.ok()) return gate;
   q.id = next_query_id_++;
-  if (const Status st = ApplySubscribe(q, session); !st.ok()) return st;
-  return Subscription(q.id, this, alive_);
+  return ApplySubscribe(q, session);
 }
 
 Status PS2Stream::UpdateSubscription(QueryId id, const Rect& new_region) {
-  if (killed_) return Status::Unavailable("service was killed");
-  if (!bootstrapped()) {
-    return Status::FailedPrecondition(
-        "Bootstrap() or Restore() must succeed before UpdateSubscription");
-  }
+  if (const Status st = ServiceGate("UpdateSubscription"); !st.ok()) return st;
   const auto it = subscriptions_.find(id);
   if (it == subscriptions_.end()) {
     return Status::NotFound("no live subscription with id " +
@@ -406,9 +280,21 @@ Status PS2Stream::UpdateSubscription(QueryId id, const Rect& new_region) {
   }
   if (const Status gate = DurabilityGate(); !gate.ok()) return gate;
   const STSQuery old_query = it->second;
-  STSQuery new_query = old_query;
-  new_query.region = new_region;
-  return ApplyUpdate(old_query, new_query);
+  it->second.region = new_region;
+  // The backend journals the update (per shard in fabric mode) and moves
+  // the index: a delete draining the old cells, then an insert into the new
+  // ones — kQueryUpdate / insert / delete frames by old-vs-new owner in
+  // fabric mode. A quarantined target bounces the whole update. The
+  // session route and any held top-k results are untouched.
+  const Status st = fabric_ != nullptr
+                        ? fabric_->Update(old_query, it->second)
+                        : host_->Update(it->second, &old_query.region);
+  if (!st.ok()) {
+    it->second = old_query;
+    return st;
+  }
+  MaybeCheckpoint();
+  return Status::Ok();
 }
 
 Status PS2Stream::Cancel(QueryId id) {
@@ -435,16 +321,9 @@ Status PS2Stream::Post(const SpatioTextualObject& object) {
 
 Status PS2Stream::Post(const std::string& tenant, Point loc,
                        const std::string& text) {
-  if (killed_) return Status::Unavailable("service was killed");
-  if (!bootstrapped()) {
-    return Status::FailedPrecondition(
-        "Bootstrap() or Restore() must succeed before Post");
-  }
   // Rate-limit before the object is built: a rejected publish must not
   // consume an object id or touch the vocabulary frequency profile.
-  if (Status st = quota_.AdmitPublish(tenant, NowMicros()); !st.ok()) {
-    return st;
-  }
+  if (const Status st = AdmitPublish(tenant); !st.ok()) return st;
   SpatioTextualObject o;
   if (started()) {
     // Routing threads read the vocabulary lock-free while the data plane
@@ -470,15 +349,13 @@ Status PS2Stream::Post(const std::string& tenant, Point loc,
 
 Status PS2Stream::Post(const std::string& tenant,
                        const SpatioTextualObject& object) {
-  if (killed_) return Status::Unavailable("service was killed");
-  if (!bootstrapped()) {
-    return Status::FailedPrecondition(
-        "Bootstrap() or Restore() must succeed before Post");
-  }
-  if (Status st = quota_.AdmitPublish(tenant, NowMicros()); !st.ok()) {
-    return st;
-  }
+  if (const Status st = AdmitPublish(tenant); !st.ok()) return st;
   return PostInternal(object);
+}
+
+Status PS2Stream::AdmitPublish(const std::string& tenant) {
+  if (const Status st = ServiceGate("Post"); !st.ok()) return st;
+  return quota_.AdmitPublish(tenant, NowMicros());
 }
 
 Status PS2Stream::PostInternal(const SpatioTextualObject& object) {
@@ -490,40 +367,17 @@ Status PS2Stream::PostInternal(const SpatioTextualObject& object) {
   // Event time moves first, exactly like the reference matcher: expiries
   // (and the promotions they cause) land before this object's own matches.
   AdvanceWatermark(object.timestamp_us);
-  if (fabric_ != nullptr) {
-    // The fabric routes the object to its cell's owner shard and carries
-    // this publish stamp through the wire, so delivery latency covers the
-    // whole cross-shard path. kUnavailable when the owner shard is
-    // quarantined (degraded mode).
-    return fabric_->Post(object, NowMicros());
-  }
-  const StreamTuple tuple = StreamTuple::OfObject(object);
-  if (started()) {
-    // The engine stamps the publish time at Submit and its workers deliver
-    // to the routed sessions through the router's dedup window.
-    if (!engine_->Submit(tuple)) {
-      return Status::Unavailable("engine stopped while submitting");
-    }
-    return Status::Ok();
-  }
+  // The publish stamp travels with the object (through the wire, in fabric
+  // mode), so delivery latency covers the whole path. kUnavailable when the
+  // engine stopped mid-submit, or when the owner shard is quarantined
+  // (degraded mode).
   const int64_t publish_us = NowMicros();
-  std::vector<MatchResult> fresh;
-  cluster_->Process(tuple, &fresh);
-  // Gate on the router's window even though the cluster's merger already
-  // deduplicated: the router window is the one the started-mode workers
-  // filter through, so sharing it here keeps a facade that alternates
-  // between modes from re-delivering a pair across the transition.
-  for (const auto& m : fresh) {
-    if (delivery_->AcceptFresh(m.query_id, m.object_id)) {
-      delivery_->Deliver(m, publish_us);
-    }
-  }
-  Track(tuple);
-  return Status::Ok();
+  return fabric_ != nullptr ? fabric_->Post(object, publish_us)
+                            : host_->Post(object, publish_us);
 }
 
-Status PS2Stream::ApplySubscribe(const STSQuery& query,
-                                 const SessionPtr& session) {
+StatusOr<Subscription> PS2Stream::ApplySubscribe(const STSQuery& query,
+                                                 const SessionPtr& session) {
   // Admission control first — every Subscribe overload funnels through
   // here, so shedding and quotas cannot be bypassed. While the overload
   // controller is degraded, new subscriptions are refused outright (the
@@ -545,48 +399,27 @@ Status PS2Stream::ApplySubscribe(const STSQuery& query,
   if (query.cls == SubscriptionClass::kTopK) {
     topk_.Register(query.id, query.k);
   }
-  if (fabric_ != nullptr) {
-    subscriptions_[query.id] = query;
-    next_query_id_ = std::max(next_query_id_, query.id + 1);
-    // Route before any shard can index the query, same as below.
-    if (session != nullptr) delivery_->Route(query.id, session);
-    // Per-shard WAL-before-apply happens inside: every shard journals the
-    // insert to its own log before indexing it. A quarantined owner bounces
-    // the whole subscription (the fabric rolled its side back already).
-    const Status st = fabric_->Subscribe(query);
-    if (!st.ok()) {
-      subscriptions_.erase(query.id);
-      delivery_->Unroute(query.id);
-      topk_.Forget(query.id);
-      quota_.Refund(query.id);
-      return st;
-    }
-    live_subscriptions_.fetch_add(1, std::memory_order_relaxed);
-    MaybeCheckpoint();
-    return Status::Ok();
-  }
-  // WAL-before-apply: once the append returns (durable per the configured
-  // sync mode), a crash at any later point recovers this subscription.
-  if (durability_ != nullptr) {
-    durability_->wal().AppendSubscribe(query, vocab_);
-  }
   subscriptions_[query.id] = query;
   next_query_id_ = std::max(next_query_id_, query.id + 1);
-  // Route deliveries before the insert can reach a worker: a match can only
+  // Route deliveries before any engine can index the query: a match can only
   // be produced after the insert is applied, so the session never misses
   // one.
   if (session != nullptr) delivery_->Route(query.id, session);
-  live_subscriptions_.fetch_add(1, std::memory_order_relaxed);
-  const StreamTuple tuple = StreamTuple::OfInsert(query);
-  if (started()) {
-    engine_->Submit(tuple);
-    MaybeCheckpoint();
-    return Status::Ok();
+  // WAL-before-apply happens inside (per shard in fabric mode). A
+  // quarantined owner shard bounces the whole subscription (the fabric
+  // rolled its side back already).
+  const Status st = fabric_ != nullptr ? fabric_->Subscribe(query)
+                                       : host_->Subscribe(query);
+  if (!st.ok()) {
+    subscriptions_.erase(query.id);
+    delivery_->Unroute(query.id);
+    topk_.Forget(query.id);
+    quota_.Refund(query.id);
+    return st;
   }
-  cluster_->Process(tuple);
-  Track(tuple);
+  live_subscriptions_.fetch_add(1, std::memory_order_relaxed);
   MaybeCheckpoint();
-  return Status::Ok();
+  return Subscription(query.id, this, alive_);
 }
 
 Status PS2Stream::ApplyUnsubscribe(QueryId id) {
@@ -597,76 +430,19 @@ Status PS2Stream::ApplyUnsubscribe(QueryId id) {
   // another.
   quota_.Refund(id);
   live_subscriptions_.fetch_sub(1, std::memory_order_relaxed);
-  if (fabric_ != nullptr) {
-    subscriptions_.erase(it);
-    delivery_->Unroute(id);
-    topk_.Forget(id);
-    // Copies at quarantined shards die with the shard; only a fleet-wide
-    // outage of the owners reports kUnavailable.
-    const Status st = fabric_->Unsubscribe(id);
-    MaybeCheckpoint();
-    return st;
-  }
-  if (durability_ != nullptr) {
-    durability_->wal().AppendUnsubscribe(id);
-  }
-  const StreamTuple tuple = StreamTuple::OfDelete(it->second);
+  const STSQuery query = std::move(it->second);
   subscriptions_.erase(it);
   // Unroute immediately: no delivery reaches the session after Unsubscribe
-  // returns. A match already in flight in the started engine lands in the
+  // returns. A match already in flight in a started engine lands in the
   // router's `unrouted` counter instead.
   delivery_->Unroute(id);
   topk_.Forget(id);
-  if (started()) {
-    engine_->Submit(tuple);
-    MaybeCheckpoint();
-    return Status::Ok();
-  }
-  cluster_->Process(tuple);
-  Track(tuple);
+  // In fabric mode, copies at quarantined shards die with the shard; only a
+  // fleet-wide outage of the owners reports kUnavailable.
+  const Status st = fabric_ != nullptr ? fabric_->Unsubscribe(id)
+                                       : host_->Unsubscribe(query);
   MaybeCheckpoint();
-  return Status::Ok();
-}
-
-Status PS2Stream::ApplyUpdate(const STSQuery& old_query,
-                              const STSQuery& new_query) {
-  if (fabric_ != nullptr) {
-    subscriptions_[new_query.id] = new_query;
-    // The fabric journals the update per shard (WAL-before-apply inside)
-    // and routes kQueryUpdate / insert / delete frames by old-vs-new owner
-    // membership. A quarantined target bounces the whole update.
-    const Status st = fabric_->Update(old_query, new_query);
-    if (!st.ok()) {
-      subscriptions_[old_query.id] = old_query;
-      return st;
-    }
-    MaybeCheckpoint();
-    return Status::Ok();
-  }
-  if (durability_ != nullptr) {
-    durability_->wal().AppendUpdate(new_query, vocab_);
-  }
-  subscriptions_[new_query.id] = new_query;
-  // Delete-then-insert with the same id: the delete drains the old cells'
-  // postings (a same-id insert would bind the live slot instead of a fresh
-  // one), the insert indexes the new region. Both ride the query-update
-  // path — dispatcher-pinned FIFO rings in started mode — so the pair can
-  // never reorder against itself or later updates. The session route and
-  // any held top-k results are untouched.
-  const StreamTuple del = StreamTuple::OfDelete(old_query);
-  const StreamTuple ins = StreamTuple::OfInsert(new_query);
-  if (started()) {
-    engine_->Submit(del);
-    engine_->Submit(ins);
-    MaybeCheckpoint();
-    return Status::Ok();
-  }
-  cluster_->Process(del);
-  cluster_->Process(ins);
-  Track(del);
-  Track(ins);
-  MaybeCheckpoint();
-  return Status::Ok();
+  return st;
 }
 
 void PS2Stream::AdvanceWatermark(int64_t watermark_us) {
@@ -681,9 +457,20 @@ void PS2Stream::AdvanceEventTime(int64_t watermark_us) {
   AdvanceWatermark(watermark_us);
 }
 
+Status PS2Stream::ServiceGate(const char* operation) const {
+  if (killed_) return Status::Unavailable("service was killed");
+  if (!bootstrapped()) {
+    return Status::FailedPrecondition(
+        std::string("Bootstrap() or Restore() must succeed before ") +
+        operation);
+  }
+  return Status::Ok();
+}
+
 Status PS2Stream::DurabilityGate() const {
   if (fabric_ != nullptr) return fabric_->durability_status();
-  if (durability_ != nullptr && !durability_->healthy()) {
+  const DurabilityManager* durability = host_->durability();
+  if (durability != nullptr && !durability->healthy()) {
     return Status::DataLoss(
         "WAL hit a sticky I/O error; mutations would not survive a crash");
   }
@@ -691,11 +478,7 @@ Status PS2Stream::DurabilityGate() const {
 }
 
 Status PS2Stream::Health() {
-  if (killed_) return Status::Unavailable("service was killed");
-  if (!bootstrapped()) {
-    return Status::FailedPrecondition(
-        "Bootstrap() or Restore() must succeed before Health");
-  }
+  if (const Status st = ServiceGate("Health"); !st.ok()) return st;
   if (fabric_ != nullptr) return fabric_->CheckHealth();
   return DurabilityGate();
 }
@@ -706,8 +489,8 @@ void PS2Stream::SampleOverload() {
   uint64_t ring_pending = 0, ring_capacity = 0;
   if (fabric_ != nullptr) {
     fabric_->DataPlaneFill(&ring_pending, &ring_capacity);
-  } else if (engine_ != nullptr && engine_->running()) {
-    engine_->DataPlaneFill(&ring_pending, &ring_capacity);
+  } else {
+    host_->DataPlaneFill(&ring_pending, &ring_capacity);
   }
   const double session_fill =
       session_capacity > 0 ? static_cast<double>(session_pending) /
@@ -728,21 +511,24 @@ RunReport PS2Stream::MetricsSnapshot() const {
     std::lock_guard<std::mutex> lock(report_mu_);
     r = last_report_;
   }
-  // Overlay the counters that are live and thread-safe right now; the base
-  // layer's engine internals (ring highwaters, migrations, fault tallies)
-  // stay at their last-Stop values.
-  const SessionStats sessions = delivery_->AggregateStats();
-  r.session_deliveries = sessions.delivered;
-  r.session_drops = sessions.dropped;
-  r.delivery_latency = sessions.latency;
-  r.matches_unrouted = delivery_->unrouted();
+  // The base layer's engine internals (ring highwaters, migrations, fault
+  // tallies) stay at their last-Stop values.
+  OverlayLiveCounters(&r);
   r.dedup_kills = delivery_->dedup_kills();
-  r.quota_rejections = quota_.rejections();
-  r.rate_limited = quota_.rate_limited();
-  r.overload_trips = overload_.trips();
-  r.overload_sheds = overload_.sheds();
-  r.live_subscriptions = live_subscriptions_.load(std::memory_order_relaxed);
   return r;
+}
+
+void PS2Stream::OverlayLiveCounters(RunReport* r) const {
+  const SessionStats sessions = delivery_->AggregateStats();
+  r->session_deliveries = sessions.delivered;
+  r->session_drops = sessions.dropped;
+  r->delivery_latency = sessions.latency;
+  r->matches_unrouted = delivery_->unrouted();
+  r->quota_rejections = quota_.rejections();
+  r->rate_limited = quota_.rate_limited();
+  r->overload_trips = overload_.trips();
+  r->overload_sheds = overload_.sheds();
+  r->live_subscriptions = live_subscriptions_.load(std::memory_order_relaxed);
 }
 
 std::string PS2Stream::MetricsPrometheus() const {
@@ -769,45 +555,9 @@ void PS2Stream::StopMetricsExporter() {
   if (exporter_ != nullptr) exporter_->Stop();
 }
 
-void PS2Stream::Track(const StreamTuple& tuple) {
-  if (!options_.auto_adjust) return;
-  window_.push_back(tuple);
-  if (window_.size() > options_.window_capacity) window_.pop_front();
-  if (++tuples_since_check_ >= options_.adjust_check_interval) {
-    tuples_since_check_ = 0;
-    MaybeAutoAdjust();
-  }
-}
-
-void PS2Stream::MaybeAutoAdjust() {
-  WorkloadSample sample;
-  for (const auto& t : window_) {
-    switch (t.kind) {
-      case TupleKind::kObject:
-        sample.objects.push_back(t.object);
-        break;
-      case TupleKind::kQueryInsert:
-        sample.inserts.push_back(t.query);
-        break;
-      case TupleKind::kQueryDelete:
-        sample.deletes.push_back(t.query);
-        break;
-    }
-  }
-  SyncMigrationExecutor sync_exec(*cluster_);
-  TouchTrackingExecutor exec(sync_exec);
-  AdjustReport report = controller_->Check(
-      *cluster_, cluster_->WorkerLoads(controller_->config().adjust.cost),
-      sample, exec);
-  controller_->MaybeEvaluateGlobal(*cluster_, sample);
-  if (durability_ != nullptr) {
-    durability_->wal().AppendCellRoutes(exec.touched_cells(),
-                                        cluster_->router().plan(), vocab_);
-  }
-  if (report.triggered) {
-    adjustments_.push_back(std::move(report));
-    cluster_->ResetLoadWindow();
-  }
+const std::vector<AdjustReport>& PS2Stream::adjustments() const {
+  static const std::vector<AdjustReport> kNone;
+  return host_ != nullptr ? host_->adjustments() : kNone;
 }
 
 }  // namespace ps2

@@ -2,13 +2,11 @@
 #define PS2_RUNTIME_PS2STREAM_H_
 
 #include <atomic>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 
-#include "adjust/load_controller.h"
 #include "api/delivery_router.h"
 #include "api/quota.h"
 #include "api/status.h"
@@ -16,9 +14,9 @@
 #include "api/subscription.h"
 #include "core/workload_stats.h"
 #include "persist/durability.h"
+#include "runtime/engine_host.h"
 #include "runtime/metrics_exporter.h"
 #include "runtime/overload.h"
-#include "runtime/threaded_engine.h"
 #include "shard/sharded_engine.h"
 #include "subscribe/spec.h"
 #include "subscribe/topk.h"
@@ -40,6 +38,13 @@ namespace ps2 {
 //   Delivery d;
 //   while (session->Poll(&d)) consume(d);        // or Take() / a MatchSink
 //   // sub goes out of scope -> unsubscribes
+//
+// The engine behind the facade is an EngineHost (runtime/engine_host.h):
+// a Cluster, the ThreadedEngine while started, and the WAL. With
+// sharding.num_shards > 1 a ShardedEngine runs one host per shard instead.
+// Either way the facade keeps the client-facing state — vocabulary,
+// subscription registry, session routing, quotas, top-k admission — and
+// hands each operation to exactly one backend.
 //
 // Two execution modes, one delivery contract:
 //   - synchronous (default): Post processes the tuple inline; matches reach
@@ -201,11 +206,14 @@ class PS2Stream : private SubscriptionBackend {
   // write — mutations after that point would not survive a crash.
   bool durable() const {
     if (fabric_ != nullptr) return fabric_->durable();
-    return durability_ != nullptr && durability_->healthy();
+    return host_ != nullptr && host_->durable();
   }
-  // The durability manager (nullptr when durability is off) — exposed for
-  // tooling and tests (e.g. forcing a WAL flush before a simulated crash).
-  DurabilityManager* durability() { return durability_.get(); }
+  // The durability manager (nullptr when durability is off, and in fabric
+  // mode) — exposed for tooling and tests (e.g. forcing a WAL flush before a
+  // simulated crash).
+  DurabilityManager* durability() {
+    return host_ != nullptr ? host_->durability() : nullptr;
+  }
 
   // Fleet health, on demand: Ok when every shard answers an acked probe and
   // durability is intact. kDataLoss — a WAL hit its sticky I/O error;
@@ -235,17 +243,20 @@ class PS2Stream : private SubscriptionBackend {
   // wedge shutdown. No-op RunReport when the engine is not running.
   RunReport Stop();
   bool started() const {
-    return (engine_ != nullptr && engine_->running()) ||
+    return (host_ != nullptr && host_->started()) ||
            (fabric_ != nullptr && fabric_->started());
   }
-  ThreadedEngine* engine() { return engine_.get(); }
+  // The started single engine (nullptr when stopped, and in fabric mode).
+  ThreadedEngine* engine() {
+    return host_ != nullptr ? host_->engine() : nullptr;
+  }
   // The shard fabric (nullptr when sharding.num_shards <= 1).
   ShardedEngine* fabric() { return fabric_.get(); }
 
   // --- introspection --------------------------------------------------------
   Vocabulary& vocabulary() { return vocab_; }
-  Cluster& cluster() { return *cluster_; }
-  const Cluster& cluster() const { return *cluster_; }
+  Cluster& cluster() { return host_->cluster(); }
+  const Cluster& cluster() const { return host_->cluster(); }
   size_t num_subscriptions() const { return subscriptions_.size(); }
   const std::unordered_map<QueryId, STSQuery>& subscriptions() const {
     return subscriptions_;
@@ -253,12 +264,11 @@ class PS2Stream : private SubscriptionBackend {
   // Note: cluster() is only meaningful in single-engine mode; use fabric()
   // for per-shard access when sharding is on.
   bool bootstrapped() const {
-    return cluster_ != nullptr ||
+    return host_ != nullptr ||
            (fabric_ != nullptr && fabric_->bootstrapped());
   }
-  const std::vector<AdjustReport>& adjustments() const {
-    return adjustments_;
-  }
+  // Synchronous-mode load adjustments (single-engine mode only).
+  const std::vector<AdjustReport>& adjustments() const;
   // The delivery router (always live) and the aggregate session counters —
   // the synchronous-mode counterpart of the RunReport delivery fields.
   DeliveryRouter& delivery() { return *delivery_; }
@@ -295,44 +305,44 @@ class PS2Stream : private SubscriptionBackend {
   // SubscriptionBackend (RAII Subscription handles cancel through this).
   void CancelSubscription(QueryId id) override;
 
-  // Shared subscribe path: WAL-before-apply, delivery routing, engine
-  // submit or inline processing. Non-Ok (fabric mode: an owner shard is
-  // quarantined) rolls the registration back.
-  Status ApplySubscribe(const STSQuery& query, const SessionPtr& session);
+  // Shared subscribe path: admission, top-k arming, registry and route,
+  // then the backend (which journals before it indexes). Non-Ok (fabric
+  // mode: an owner shard is quarantined) rolls the registration back.
+  StatusOr<Subscription> ApplySubscribe(const STSQuery& query,
+                                        const SessionPtr& session);
   // Shared unsubscribe path (Cancel and the RAII handles funnel here):
-  // WAL-before-apply, unroute, engine submit or inline processing.
+  // refund, registry, unroute, then the backend.
   Status ApplyUnsubscribe(QueryId id);
-  // Shared publish path.
+  // Shared publish path, and the admission both Post forms run first
+  // (service gate, then the tenant's publish token bucket).
   Status PostInternal(const SpatioTextualObject& object);
+  Status AdmitPublish(const std::string& tenant);
+  // Overlays the live, thread-safe counters (sessions, unrouted, quota,
+  // overload, live subscriptions) onto `r`; Stop() and MetricsSnapshot()
+  // share them.
+  void OverlayLiveCounters(RunReport* r) const;
   // Samples session-queue and worker-ring fills into the overload
   // controller (called every overload.check_interval posts).
   void SampleOverload();
-  // Shared subscription-update path (fabric / WAL / engine-or-inline).
-  Status ApplyUpdate(const STSQuery& old_query, const STSQuery& new_query);
   // Watermark advance + promotion delivery (both Post and AdvanceEventTime).
   void AdvanceWatermark(int64_t watermark_us);
+  // kUnavailable after Kill(), kFailedPrecondition (naming `operation`)
+  // before Bootstrap()/Restore() succeeded.
+  Status ServiceGate(const char* operation) const;
   // Mutation gate: kDataLoss once the WAL (any shard's, in fabric mode)
   // has hit its sticky I/O error — the service refuses new mutations
   // rather than accepting ones that would not survive a crash.
   Status DurabilityGate() const;
-  void Track(const StreamTuple& tuple);
-  void MaybeAutoAdjust();
   void MaybeCheckpoint();
-  // Captures the current state (vocab, plan, snapshot, live queries) for a
-  // checkpoint committed under `seq`.
-  bool CommitCheckpointLocked(uint64_t seq);
+  // Rebuilds the registry, quota charges, top-k state and id counters from
+  // what a Restore() recovered.
+  void AdoptRecovered(const std::vector<STSQuery>& queries,
+                      const TopKCheckpoint& topk, QueryId next_query_id,
+                      ObjectId next_object_id);
 
   PS2StreamOptions options_;
   Vocabulary vocab_;
   Tokenizer tokenizer_;
-  std::unique_ptr<Cluster> cluster_;
-  std::unique_ptr<LoadController> controller_;
-  std::unique_ptr<ThreadedEngine> engine_;
-  // Multi-shard mode (sharding.num_shards > 1): the fabric replaces
-  // cluster_/engine_/durability_ wholesale; exactly one of the two stacks
-  // is ever live.
-  std::unique_ptr<ShardedEngine> fabric_;
-  std::unique_ptr<DurabilityManager> durability_;
   std::unique_ptr<RecoveredState> recovered_;
   std::unique_ptr<DeliveryRouter> delivery_;
   // Centralized top-k admission, hooked into the router (see
@@ -354,10 +364,13 @@ class PS2Stream : private SubscriptionBackend {
   std::unordered_map<QueryId, STSQuery> subscriptions_;
   QueryId next_query_id_ = 1;
   ObjectId next_object_id_ = 1;
-  // Recent tuples for adjustment statistics.
-  std::deque<StreamTuple> window_;
-  size_t tuples_since_check_ = 0;
-  std::vector<AdjustReport> adjustments_;
+  // The backend, set by Bootstrap()/Restore(): one EngineHost in
+  // single-engine mode, or the shard fabric — itself one EngineHost per
+  // shard — when sharding.num_shards > 1. Exactly one is ever set. Declared
+  // last so a running engine is torn down before the router and top-k
+  // state it delivers into.
+  std::unique_ptr<EngineHost> host_;
+  std::unique_ptr<ShardedEngine> fabric_;
 };
 
 }  // namespace ps2

@@ -10,10 +10,9 @@
 namespace ps2 {
 
 // Bounded lock-free single-producer / single-consumer ring: the threaded
-// engine's queue hop (dispatcher -> worker, submit -> dispatcher), replacing
-// the mutex+condvar BoundedQueue on the data path. Matches BoundedQueue's
-// stream semantics — FIFO, bounded with producer backpressure, Close() ends
-// the stream but queued items drain first — without a lock on either side:
+// engine's queue hop (dispatcher -> worker, submit -> dispatcher). Stream
+// semantics: FIFO, bounded with producer backpressure, Close() ends the
+// stream but queued items drain first — without a lock on either side:
 //
 //   producer:  TryPush / Push(item, WaitContext)    (one thread)
 //   consumer:  PopBatch                             (one other thread)

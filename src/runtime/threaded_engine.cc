@@ -1086,10 +1086,4 @@ RunReport ThreadedEngine::AssembleReport() {
   return report;
 }
 
-RunReport RunThreaded(Cluster& cluster, const std::vector<StreamTuple>& input,
-                      const EngineOptions& options) {
-  ThreadedEngine engine(cluster, options);
-  return engine.Run(input);
-}
-
 }  // namespace ps2

@@ -154,24 +154,14 @@ void ShardedEngine::Bootstrap(const WorkloadSample& sample) {
   // Same plan construction as the single-engine facade: every shard indexes
   // against the identical plan, so cell ownership is the only thing that
   // distinguishes them.
-  auto partitioner = MakePartitioner(config_.partitioner);
-  PartitionPlan plan;
-  if (partitioner != nullptr && !sample.empty()) {
-    plan = partitioner->Build(sample, *vocab_, config_.partition);
-  } else {
-    plan.grid = GridSpec(sample.empty() ? Rect(0, 0, 1, 1) : sample.Bounds(),
-                         config_.partition.grid_k);
-    plan.num_workers = config_.partition.num_workers;
-    plan.cells.resize(plan.grid.NumCells());
-    for (CellId c = 0; c < plan.grid.NumCells(); ++c) {
-      plan.cells[c].worker =
-          static_cast<WorkerId>(c % config_.partition.num_workers);
-    }
-  }
-
+  PartitionPlan plan = EngineHost::BuildPlan(config_.partitioner, sample,
+                                             *vocab_, config_.partition);
   map_ = std::make_unique<ShardMapPublisher>(
       ShardMap::Uniform(plan.grid.NumCells(), config_.fabric.num_shards));
   StandUpShards(std::move(plan), config_.fabric.num_shards);
+  // Every shard gets a copy of the plan (CellRoute text routers are
+  // shared_ptr, so the copies share the heavy term maps).
+  for (auto& shard : shards_) shard->host->Bootstrap(base_plan_);
 
   if (config_.durability.enabled && !config_.durability.dir.empty()) {
     std::error_code ec;
@@ -180,7 +170,9 @@ void ShardedEngine::Bootstrap(const WorkloadSample& sample) {
         !ec && WriteShardMapFile(ShardMapPath(config_.durability.dir),
                                  *map_->Current());
     if (durable_root_) {
-      for (auto& shard : shards_) InitShardDurability(*shard);
+      for (auto& shard : shards_) {
+        shard->host->InitDurability(ShardDurability(shard->id), 1, 1);
+      }
     }
   }
 }
@@ -188,20 +180,18 @@ void ShardedEngine::Bootstrap(const WorkloadSample& sample) {
 void ShardedEngine::StandUpShards(PartitionPlan plan, int num_shards) {
   control_thread_.store(std::this_thread::get_id(),
                         std::memory_order_relaxed);
-  cell_queries_.assign(plan.grid.NumCells(), {});
-  cell_objects_.assign(plan.grid.NumCells(), 0);
+  // Keep the bootstrap geometry: a non-durable shard restarts onto it (the
+  // query set is re-sent from the front registries).
+  base_plan_ = std::move(plan);
+  cell_queries_.assign(base_plan_.grid.NumCells(), {});
+  cell_objects_.assign(base_plan_.grid.NumCells(), 0);
   supervisor_.SetPolicy(SupervisorPolicy{config_.fabric.max_restarts});
   supervisor_.Resize(static_cast<size_t>(num_shards));
   shards_.reserve(static_cast<size_t>(num_shards));
   for (int i = 0; i < num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->id = static_cast<ShardId>(i);
-    // Every shard gets a copy of the plan (CellRoute text routers are
-    // shared_ptr, so the copies share the heavy term maps).
-    shard->cluster =
-        std::make_unique<Cluster>(plan, vocab_, config_.cluster);
-    shard->egress = std::make_unique<ShardEgress>(
-        this, shard->id, config_.dedup_window_capacity);
+    NewIncarnation(*shard);
     // Distinct jitter streams per shard and direction so a fleet under the
     // same fault schedule never retries in lockstep.
     const uint64_t seed = config_.fabric.link_seed +
@@ -215,23 +205,25 @@ void ShardedEngine::StandUpShards(PartitionPlan plan, int num_shards) {
         });
     shards_.push_back(std::move(shard));
   }
-  // Keep the bootstrap geometry: a non-durable shard restarts onto it (the
-  // query set is re-sent from the front registries).
-  base_plan_ = std::make_unique<PartitionPlan>(
-      shards_[0]->cluster->router().plan());
 }
 
-void ShardedEngine::InitShardDurability(Shard& shard) {
+void ShardedEngine::NewIncarnation(Shard& shard) {
+  shard.host.reset();
+  shard.egress = std::make_unique<ShardEgress>(this, shard.id,
+                                               config_.dedup_window_capacity);
+  EngineHost::Options options;
+  options.cluster = config_.cluster;
+  options.window_capacity = config_.engine.window_capacity;
+  shard.host =
+      std::make_unique<EngineHost>(options, vocab_, shard.egress.get());
+}
+
+DurabilityConfig ShardedEngine::ShardDurability(ShardId s) const {
   DurabilityConfig config = config_.durability;
-  config.dir = ShardDirPath(config_.durability.dir, shard.id);
-  shard.durability = std::make_unique<DurabilityManager>(config);
-  CheckpointView view;
-  view.next_query_id = 1;
-  view.next_object_id = 1;
-  view.vocab = vocab_;
-  const PartitionPlan& current = shard.cluster->router().plan();
-  view.plan = &current;
-  if (!shard.durability->Initialize(view)) shard.durability.reset();
+  config.dir = ShardDirPath(config_.durability.dir, s);
+  // Shard checkpoints never embed the routing snapshot.
+  config.include_snapshot = false;
+  return config;
 }
 
 // --- restore -----------------------------------------------------------------
@@ -268,17 +260,15 @@ bool ShardedEngine::Restore(const std::string& dir, Recovery* out) {
     Shard& shard = *shards_[static_cast<size_t>(i)];
     RecoveredState& state = *states[static_cast<size_t>(i)];
     if (i > 0) {
-      // Re-seat shard i on its own recovered plan, remapped to the fabric
-      // vocabulary (installed in-shard migrations may differ per shard).
-      shard.cluster = std::make_unique<Cluster>(
-          RemapPlan(std::move(state.plan), state.vocab, *vocab_), vocab_,
-          config_.cluster);
+      // Shard i runs its own recovered plan and queries, remapped to the
+      // fabric vocabulary (installed in-shard migrations may differ per
+      // shard).
+      state.plan = RemapPlan(std::move(state.plan), state.vocab, *vocab_);
+      for (STSQuery& q : state.queries) {
+        q = RemapQuery(q, state.vocab, *vocab_);
+      }
     }
-    for (const STSQuery& recovered : state.queries) {
-      const STSQuery q = i == 0
-                             ? recovered
-                             : RemapQuery(recovered, state.vocab, *vocab_);
-      shard.cluster->Process(StreamTuple::OfInsert(q));
+    for (const STSQuery& q : state.queries) {
       shard.applied.insert(q.id);
       auto it = queries_.find(q.id);
       if (it == queries_.end()) {
@@ -287,17 +277,7 @@ bool ShardedEngine::Restore(const std::string& dir, Recovery* out) {
         query_shards_[q.id] |= ShardBit(shard.id);
       }
     }
-    shard.cluster->ResetLoadWindow();
-
-    DurabilityConfig config = config_.durability;
-    config.dir = ShardDirPath(dir, shard.id);
-    shard.durability = std::make_unique<DurabilityManager>(config);
-    const uint64_t resume_seq =
-        state.checkpoint_seq +
-        (state.wal_segments > 0
-             ? static_cast<uint64_t>(state.wal_segments) - 1
-             : 0);
-    if (!shard.durability->Resume(resume_seq, state.last_lsn + 1)) {
+    if (!shard.host->Recover(state, ShardDurability(shard.id))) {
       // A shard that recovered but cannot log again would silently lose
       // every post-restore mutation; fail the whole fleet restore.
       shards_.clear();
@@ -333,8 +313,7 @@ bool ShardedEngine::Restore(const std::string& dir, Recovery* out) {
 void ShardedEngine::RegisterPlacement(const STSQuery& query, uint64_t mask) {
   queries_[query.id] = query;
   query_shards_[query.id] = mask;
-  const GridSpec& grid = shards_[0]->cluster->router().plan().grid;
-  grid.CellsOverlapping(query.region, &overlap_scratch_);
+  base_plan_.grid.CellsOverlapping(query.region, &overlap_scratch_);
   for (const CellId c : overlap_scratch_) {
     cell_queries_[c].push_back(query.id);
   }
@@ -343,8 +322,7 @@ void ShardedEngine::RegisterPlacement(const STSQuery& query, uint64_t mask) {
 void ShardedEngine::ForgetPlacement(QueryId id) {
   auto it = queries_.find(id);
   if (it == queries_.end()) return;
-  const GridSpec& grid = shards_[0]->cluster->router().plan().grid;
-  grid.CellsOverlapping(it->second.region, &overlap_scratch_);
+  base_plan_.grid.CellsOverlapping(it->second.region, &overlap_scratch_);
   for (const CellId c : overlap_scratch_) {
     auto& list = cell_queries_[c];
     list.erase(std::remove(list.begin(), list.end(), id), list.end());
@@ -363,8 +341,7 @@ Status ShardedEngine::Subscribe(const STSQuery& query) {
                         std::memory_order_relaxed);
   PumpDeferred();
   const auto map = map_->Current();
-  const GridSpec& grid = shards_[0]->cluster->router().plan().grid;
-  grid.CellsOverlapping(query.region, &overlap_scratch_);
+  base_plan_.grid.CellsOverlapping(query.region, &overlap_scratch_);
   uint64_t mask = 0;
   for (const CellId c : overlap_scratch_) mask |= ShardBit(map->OwnerOf(c));
   if (mask == 0 && !shards_.empty()) mask = ShardBit(0);
@@ -437,7 +414,7 @@ Status ShardedEngine::Update(const STSQuery& old_query,
                         std::memory_order_relaxed);
   PumpDeferred();
   const auto map = map_->Current();
-  const GridSpec& grid = shards_[0]->cluster->router().plan().grid;
+  const GridSpec& grid = base_plan_.grid;
   grid.CellsOverlapping(old_query.region, &overlap_scratch_);
   uint64_t old_mask = 0;
   for (const CellId c : overlap_scratch_) {
@@ -493,8 +470,7 @@ Status ShardedEngine::Post(const SpatioTextualObject& object,
                         std::memory_order_relaxed);
   PumpDeferred();
   const auto map = map_->Current();
-  const GridSpec& grid = shards_[0]->cluster->router().plan().grid;
-  const CellId cell = grid.CellOf(object.loc);
+  const CellId cell = base_plan_.grid.CellOf(object.loc);
   const ShardId owner = map->OwnerOf(cell);
   if (supervisor_.quarantined(owner)) {
     frames_dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -708,11 +684,9 @@ Status ShardedEngine::HandleShardFailure(ShardId s) {
 
 bool ShardedEngine::RestartShard(Shard& shard) {
   if (shard.permanently_failed) return false;
-  // 1. Tear down the dead incarnation (Abort: no graceful drain to wait on).
-  if (shard.engine != nullptr) {
-    if (shard.engine->running()) shard.engine->Abort();
-    shard.engine.reset();
-  }
+  // 1. Tear down the dead incarnation (no graceful drain to wait on; the
+  //    WAL closes cleanly so step 4 recovers everything it journaled).
+  shard.host->Halt();
   // 2. Salvage matches it accepted but never got acked for — the recovery
   //    guarantee that makes kill+restart invisible to exact equivalence.
   LocalDrainEgress(shard);
@@ -721,51 +695,32 @@ bool ShardedEngine::RestartShard(Shard& shard) {
     std::lock_guard<std::mutex> lock(shard.deferred_mu);
     shard.deferred.clear();
   }
-  shard.egress = std::make_unique<ShardEgress>(
-      this, shard.id, config_.dedup_window_capacity);
-  shard.durability.reset();
 
-  // 4. Rebuild the index: from the shard's own durable directory when the
-  //    fabric is durable, from the bootstrap geometry otherwise (queries
-  //    are restored by the registry resync below either way).
+  // 4. Rebuild the index in a fresh incarnation: from the shard's own
+  //    durable directory when the fabric is durable, from the bootstrap
+  //    geometry otherwise (queries are restored by the registry resync
+  //    below either way).
+  NewIncarnation(shard);
   const uint64_t bit = ShardBit(shard.id);
   shard.applied.clear();
-  bool recovered = false;
-  if (durable_root_) {
-    const std::string dir = ShardDirPath(config_.durability.dir, shard.id);
-    RecoveredState state;
-    if (RecoverState(dir, &state)) {
-      shard.cluster = std::make_unique<Cluster>(
-          RemapPlan(std::move(state.plan), state.vocab, *vocab_), vocab_,
-          config_.cluster);
-      for (const STSQuery& rq : state.queries) {
-        // Skip queries the front unsubscribed (or migrated away) while the
-        // shard was down — their delete frames may be gone for good.
-        auto it = query_shards_.find(rq.id);
-        if (it == query_shards_.end() || !(it->second & bit)) continue;
-        const STSQuery q = RemapQuery(rq, state.vocab, *vocab_);
-        shard.cluster->Process(StreamTuple::OfInsert(q));
-        shard.applied.insert(q.id);
-      }
-      shard.cluster->ResetLoadWindow();
-      DurabilityConfig config = config_.durability;
-      config.dir = dir;
-      auto durability = std::make_unique<DurabilityManager>(config);
-      const uint64_t resume_seq =
-          state.checkpoint_seq +
-          (state.wal_segments > 0
-               ? static_cast<uint64_t>(state.wal_segments) - 1
-               : 0);
-      if (durability->Resume(resume_seq, state.last_lsn + 1)) {
-        shard.durability = std::move(durability);
-      }
-      recovered = true;
+  RecoveredState state;
+  if (durable_root_ &&
+      RecoverState(ShardDirPath(config_.durability.dir, shard.id), &state)) {
+    state.plan = RemapPlan(std::move(state.plan), state.vocab, *vocab_);
+    std::vector<STSQuery> placed;
+    for (const STSQuery& rq : state.queries) {
+      // Skip queries the front unsubscribed (or migrated away) while the
+      // shard was down — their delete frames may be gone for good.
+      auto it = query_shards_.find(rq.id);
+      if (it == query_shards_.end() || !(it->second & bit)) continue;
+      placed.push_back(RemapQuery(rq, state.vocab, *vocab_));
+      shard.applied.insert(rq.id);
     }
-  }
-  if (!recovered) {
-    if (base_plan_ == nullptr) return false;
-    shard.cluster =
-        std::make_unique<Cluster>(*base_plan_, vocab_, config_.cluster);
+    state.queries = std::move(placed);
+    // A shard that cannot log again still serves, non-durable.
+    shard.host->Recover(state, ShardDurability(shard.id));
+  } else {
+    shard.host->Bootstrap(base_plan_);
   }
 
   // 5. Reconcile: queries the registry places here that the rebuilt index
@@ -797,15 +752,7 @@ bool ShardedEngine::RestartShard(Shard& shard) {
 
   // 7. Back to life.
   shard.dead.store(false, std::memory_order_release);
-  if (started_) {
-    EngineOptions opts = config_.engine;
-    if (shard.durability != nullptr) {
-      opts.wal = &shard.durability->wal();
-    }
-    opts.delivery = shard.egress.get();
-    shard.engine = std::make_unique<ThreadedEngine>(*shard.cluster, opts);
-    shard.engine->Start();
-  }
+  if (started_) shard.host->Start(config_.engine);
   return true;
 }
 
@@ -814,10 +761,7 @@ void ShardedEngine::QuarantineShard(ShardId s) {
   supervisor_.Quarantine(s);
   quarantine_events_.fetch_add(1, std::memory_order_relaxed);
   shard.dead.store(true, std::memory_order_release);
-  if (shard.engine != nullptr) {
-    if (shard.engine->running()) shard.engine->Abort();
-    shard.engine.reset();
-  }
+  shard.host->Halt();
   // Accepted matches still get out; queued control frames die with the
   // shard (the caller's status reports the loss).
   LocalDrainEgress(shard);
@@ -831,7 +775,6 @@ void ShardedEngine::QuarantineShard(ShardId s) {
     std::lock_guard<std::mutex> lock(shard.deferred_mu);
     shard.deferred.clear();
   }
-  shard.durability.reset();
 }
 
 Status ShardedEngine::CheckHealth() {
@@ -856,16 +799,9 @@ void ShardedEngine::KillShard(ShardId s, bool allow_restart) {
   Shard& shard = *shards_[static_cast<size_t>(s)];
   shard.dead.store(true, std::memory_order_release);
   shard.permanently_failed = !allow_restart;
-  if (shard.engine != nullptr) {
-    if (shard.engine->running()) shard.engine->Abort();
-    shard.engine.reset();
-  }
-  if (shard.durability != nullptr) {
-    // Crash semantics: unwritten WAL batch is lost; on-disk state is what
-    // the sync mode had already guaranteed.
-    shard.durability->Abandon();
-    shard.durability.reset();
-  }
+  // Crash semantics: unwritten WAL batch is lost; on-disk state is what the
+  // sync mode had already guaranteed.
+  shard.host->Abort();
 }
 
 Status ShardedEngine::ReviveShard(ShardId s) {
@@ -888,7 +824,8 @@ Status ShardedEngine::ReviveShard(ShardId s) {
 
 Status ShardedEngine::durability_status() const {
   for (const auto& shard : shards_) {
-    if (shard->durability != nullptr && !shard->durability->healthy()) {
+    DurabilityManager* durability = shard->host->durability();
+    if (durability != nullptr && !durability->healthy()) {
       return Status::DataLoss("shard " + std::to_string(shard->id) +
                               " WAL hit a sticky I/O error");
     }
@@ -968,7 +905,7 @@ void ShardedEngine::ApplyControl(Shard& shard, Frame& f) {
       // Flush barrier: everything submitted before the marker is fully
       // processed (including match handoff) before the ack token travels
       // back on the match link — behind every match it must trail.
-      if (shard.engine != nullptr) shard.engine->Quiesce();
+      if (shard.host->started()) shard.host->engine()->Quiesce();
       EnqueueEgress(shard,
                     EncodeDrainFrame(FrameKind::kDrainAck, f.drain_token));
       return;
@@ -981,95 +918,35 @@ void ShardedEngine::ApplyControl(Shard& shard, Frame& f) {
 }
 
 void ShardedEngine::ShardApply(Shard& shard, const Frame& f) {
+  // The host journals each mutation to this shard's own log before applying
+  // it, so the copy phase of a cross-shard migration is durable the same way
+  // a fresh subscribe is. The applied set makes redelivery idempotent: a
+  // restart replays every unacked frame.
+  EngineHost& host = *shard.host;
   switch (f.kind) {
-    case FrameKind::kObject: {
-      const StreamTuple tuple = StreamTuple::OfObject(f.object);
-      if (shard.engine != nullptr) {
-        shard.engine->Submit(tuple, f.publish_us);
-        return;
-      }
-      std::vector<MatchResult> fresh;
-      shard.cluster->Process(tuple, &fresh);
-      std::vector<Delivery> accepted;
-      accepted.reserve(fresh.size());
-      for (const MatchResult& m : fresh) {
-        if (shard.egress->AcceptFresh(m.query_id, m.object_id)) {
-          Delivery d;
-          d.query_id = m.query_id;
-          d.object_id = m.object_id;
-          d.publish_us = f.publish_us;
-          d.score = m.score;
-          d.expire_us = m.expire_us;
-          accepted.push_back(d);
-        }
-      }
-      if (!accepted.empty()) {
-        shard.egress->DeliverBatch(accepted.data(), accepted.size());
-      }
+    case FrameKind::kObject:
+      host.Post(f.object, f.publish_us);
       return;
-    }
-    case FrameKind::kQueryInsert: {
-      // The applied set makes redelivery idempotent: a restart replays
-      // every unacked frame, and an insert that already landed (its ack was
-      // the casualty) must not double-index.
-      if (shard.applied.count(f.query.id) != 0) return;
-      shard.applied.insert(f.query.id);
-      // WAL-before-apply, against this shard's own log: the copy phase of a
-      // cross-shard migration is durable the same way a fresh subscribe is.
-      if (shard.durability != nullptr) {
-        shard.durability->wal().AppendSubscribe(f.query, *vocab_);
-      }
-      const StreamTuple tuple = StreamTuple::OfInsert(f.query);
-      if (shard.engine != nullptr) {
-        shard.engine->Submit(tuple);
-      } else {
-        shard.cluster->Process(tuple);
-      }
+    case FrameKind::kQueryInsert:
+      // An insert that already landed (its ack was the casualty) must not
+      // double-index.
+      if (!shard.applied.insert(f.query.id).second) return;
+      host.Subscribe(f.query);
       return;
-    }
     case FrameKind::kQueryUpdate: {
-      // Delete-then-insert under one frame: the delete (old region) must
-      // come first because a same-id insert binds the existing index slot.
-      // Redelivery converges — the delete of an already-moved placement is
-      // a partial no-op and the re-insert lands on the same slot.
-      const bool had = shard.applied.count(f.query.id) != 0;
-      shard.applied.insert(f.query.id);
-      if (shard.durability != nullptr) {
-        shard.durability->wal().AppendUpdate(f.query, *vocab_);
-      }
-      if (had) {
-        STSQuery old_query = f.query;
-        old_query.region = f.old_region;
-        const StreamTuple del = StreamTuple::OfDelete(old_query);
-        if (shard.engine != nullptr) {
-          shard.engine->Submit(del);
-        } else {
-          shard.cluster->Process(del);
-        }
-      }
-      const StreamTuple ins = StreamTuple::OfInsert(f.query);
-      if (shard.engine != nullptr) {
-        shard.engine->Submit(ins);
-      } else {
-        shard.cluster->Process(ins);
-      }
+      // Delete-then-insert under one frame. Redelivery converges — the
+      // delete of an already-moved placement is a partial no-op and the
+      // re-insert lands on the same slot.
+      const bool had = !shard.applied.insert(f.query.id).second;
+      host.Update(f.query, had ? &f.old_region : nullptr);
       return;
     }
-    case FrameKind::kQueryDelete: {
+    case FrameKind::kQueryDelete:
       // Same idempotency in reverse: deleting a query this incarnation
       // never indexed is a no-op (it was reconciled away at restart).
       if (shard.applied.erase(f.query.id) == 0) return;
-      if (shard.durability != nullptr) {
-        shard.durability->wal().AppendUnsubscribe(f.query.id);
-      }
-      const StreamTuple tuple = StreamTuple::OfDelete(f.query);
-      if (shard.engine != nullptr) {
-        shard.engine->Submit(tuple);
-      } else {
-        shard.cluster->Process(tuple);
-      }
+      host.Unsubscribe(f.query);
       return;
-    }
     default:
       decode_errors_.fetch_add(1, std::memory_order_relaxed);
       return;
@@ -1156,9 +1033,8 @@ void ShardedEngine::DataPlaneFill(uint64_t* pending,
                                   uint64_t* capacity) const {
   uint64_t p = 0, c = 0;
   for (const auto& shard : shards_) {
-    if (shard->engine == nullptr) continue;
     uint64_t sp = 0, sc = 0;
-    shard->engine->DataPlaneFill(&sp, &sc);
+    shard->host->DataPlaneFill(&sp, &sc);
     p += sp;
     c += sc;
   }
@@ -1170,14 +1046,7 @@ void ShardedEngine::Start() {
   if (!bootstrapped() || started_) return;
   for (auto& shard : shards_) {
     if (supervisor_.quarantined(shard->id)) continue;
-    EngineOptions opts = config_.engine;
-    if (shard->durability != nullptr) {
-      opts.wal = &shard->durability->wal();
-    }
-    opts.delivery = shard->egress.get();
-    shard->engine =
-        std::make_unique<ThreadedEngine>(*shard->cluster, opts);
-    shard->engine->Start();
+    shard->host->Start(config_.engine);
   }
   started_ = true;
 }
@@ -1189,14 +1058,7 @@ RunReport ShardedEngine::Stop() {
                         std::memory_order_relaxed);
   PumpDeferred();
   shard_reports_.clear();
-  for (auto& shard : shards_) {
-    if (shard->engine != nullptr) {
-      shard_reports_.push_back(shard->engine->Stop());
-      shard->engine.reset();
-    } else {
-      shard_reports_.push_back(RunReport());
-    }
-  }
+  for (auto& shard : shards_) shard_reports_.push_back(shard->host->Stop());
   started_ = false;
   // Everything the engines produced on their way out still has to cross
   // the match links (retransmitting what the transport dropped).
@@ -1231,9 +1093,7 @@ bool ShardedEngine::durable() const {
   if (!durable_root_) return false;
   for (const auto& shard : shards_) {
     if (supervisor_.quarantined(shard->id)) continue;
-    if (shard->durability == nullptr || !shard->durability->healthy()) {
-      return false;
-    }
+    if (!shard->host->durable()) return false;
   }
   return !shards_.empty();
 }
@@ -1245,31 +1105,16 @@ bool ShardedEngine::Checkpoint(QueryId next_query_id,
   bool ok = true;
   for (auto& shard : shards_) {
     if (supervisor_.quarantined(shard->id)) continue;
-    if (shard->durability == nullptr) {
-      ok = false;
-      continue;
-    }
-    const uint64_t seq = shard->durability->BeginCheckpoint();
-    if (seq == 0) {
-      ok = false;
-      continue;
-    }
-    CheckpointView view;
-    view.next_query_id = next_query_id;
-    view.next_object_id = next_object_id;
-    view.vocab = vocab_;
-    PartitionPlan plan = shard->engine != nullptr
-                             ? shard->engine->PlanCopy()
-                             : shard->cluster->router().plan();
-    view.plan = &plan;
     const uint64_t bit = ShardBit(shard->id);
+    std::vector<const STSQuery*> placed;
     for (const auto& [id, q] : queries_) {
-      if (query_shards_[id] & bit) view.queries.push_back(&q);
+      if (query_shards_[id] & bit) placed.push_back(&q);
     }
     // The front's top-k heap state rides every shard's checkpoint so
     // restore survives the loss of any one shard directory.
-    view.topk = topk;
-    ok = shard->durability->CommitCheckpoint(seq, std::move(view)) && ok;
+    ok = shard->host->Checkpoint(next_query_id, next_object_id,
+                                 std::move(placed), topk) &&
+         ok;
   }
   ok = WriteShardMapFile(ShardMapPath(config_.durability.dir),
                          *map_->Current()) &&
@@ -1279,10 +1124,7 @@ bool ShardedEngine::Checkpoint(QueryId next_query_id,
 
 bool ShardedEngine::ShouldCheckpoint() const {
   for (const auto& shard : shards_) {
-    if (shard->durability != nullptr &&
-        shard->durability->ShouldCheckpoint()) {
-      return true;
-    }
+    if (shard->host->ShouldCheckpoint()) return true;
   }
   return false;
 }
@@ -1290,12 +1132,7 @@ bool ShardedEngine::ShouldCheckpoint() const {
 void ShardedEngine::Kill() {
   for (auto& shard : shards_) {
     shard->dead.store(true, std::memory_order_release);
-    if (shard->engine != nullptr && shard->engine->running()) {
-      shard->engine->Abort();
-    }
-    shard->engine.reset();
-    if (shard->durability != nullptr) shard->durability->Abandon();
-    shard->durability.reset();
+    shard->host->Abort();
   }
   started_ = false;
 }
@@ -1371,7 +1208,7 @@ ShardMigrationStats ShardedEngine::MigrateCell(CellId cell, ShardId from,
   // any `from`-owned cell under the new map. In-flight duplicates this
   // window can still produce die in the front router's dedup window.
   const auto published = map_->Current();
-  const GridSpec& grid = shards_[0]->cluster->router().plan().grid;
+  const GridSpec& grid = base_plan_.grid;
   const uint64_t from_bit = ShardBit(from);
   std::vector<QueryId> shed = cell_queries_[cell];
   for (const QueryId id : shed) {

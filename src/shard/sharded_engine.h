@@ -18,8 +18,8 @@
 #include "common/dedup_window.h"
 #include "core/workload_stats.h"
 #include "persist/durability.h"
+#include "runtime/engine_host.h"
 #include "runtime/metrics.h"
-#include "runtime/threaded_engine.h"
 #include "shard/reliable.h"
 #include "shard/shard_map.h"
 #include "shard/supervisor.h"
@@ -95,9 +95,11 @@ struct FabricFaultStats {
   uint64_t shards_quarantined = 0; // quarantine events
 };
 
-// N engine shards behind the unchanged PS2Stream facade. Each shard is a
-// full Cluster over the *complete* partition plan (and, in started mode, a
-// ThreadedEngine running it); ownership is defined solely by the ShardMap:
+// N engine shards behind the unchanged PS2Stream facade. Each shard is an
+// EngineHost — the unit the single-engine facade runs: a full Cluster over
+// the *complete* partition plan, a ThreadedEngine running it in started
+// mode, and the shard's own WAL; ownership is defined solely by the
+// ShardMap:
 //
 //   front (facade thread)                         shard i
 //   ─────────────────────                         ───────
@@ -280,10 +282,8 @@ class ShardedEngine {
   std::shared_ptr<const ShardMap> shard_map() const {
     return map_->Current();
   }
-  Cluster& shard_cluster(ShardId s) { return *shards_[s]->cluster; }
-  ThreadedEngine* shard_engine(ShardId s) {
-    return shards_[s]->engine.get();
-  }
+  Cluster& shard_cluster(ShardId s) { return shards_[s]->host->cluster(); }
+  ThreadedEngine* shard_engine(ShardId s) { return shards_[s]->host->engine(); }
   const std::vector<RunReport>& shard_reports() const {
     return shard_reports_;
   }
@@ -300,7 +300,7 @@ class ShardedEngine {
   // Per-shard durability manager (nullptr: durability off or shard
   // quarantined) — failure drills trip its WAL from here.
   DurabilityManager* shard_durability(ShardId s) {
-    return shards_[static_cast<size_t>(s)]->durability.get();
+    return shards_[static_cast<size_t>(s)]->host->durability();
   }
 
  private:
@@ -329,10 +329,10 @@ class ShardedEngine {
 
   struct Shard {
     ShardId id = 0;
-    std::unique_ptr<Cluster> cluster;
-    std::unique_ptr<ThreadedEngine> engine;
-    std::unique_ptr<DurabilityManager> durability;
+    // The shard's engine unit — the same one the single-engine facade runs
+    // — delivering into the egress, which therefore outlives it.
     std::unique_ptr<ShardEgress> egress;
+    std::unique_ptr<EngineHost> host;
 
     // --- fault-tolerance state ---------------------------------------------
     // Kill switch (failure drills): the shard's receive path swallows every
@@ -362,7 +362,10 @@ class ShardedEngine {
   };
 
   void StandUpShards(PartitionPlan plan, int num_shards);
-  void InitShardDurability(Shard& shard);
+  // Gives the shard a fresh egress and an empty host delivering into it.
+  void NewIncarnation(Shard& shard);
+  // The fabric's durability config, pointed at shard `s`'s directory.
+  DurabilityConfig ShardDurability(ShardId s) const;
   // Transport receive handlers.
   void ShardReceive(Shard& shard, ShardId from, const std::string& frame);
   void FrontReceive(ShardId from, const std::string& frame);
@@ -371,8 +374,8 @@ class ShardedEngine {
   void AcceptControl(Shard& shard, Frame&& f);
   // Applies one released control frame: drain barrier, ping, or ShardApply.
   void ApplyControl(Shard& shard, Frame& f);
-  // Applies a decoded control frame on a shard (WAL-before-apply; Submit in
-  // started mode, inline Process otherwise).
+  // Applies a decoded control frame on a shard's host, filtered through the
+  // shard's applied set.
   void ShardApply(Shard& shard, const Frame& f);
   // Applies one frame released by a shard's match link at the front.
   void ApplyFromShard(Frame& f);
@@ -425,8 +428,9 @@ class ShardedEngine {
   bool started_ = false;
   bool durable_root_ = false;  // SHARDMAP file is being maintained
   // The bootstrap plan, kept so a non-durable shard can be restarted onto
-  // the same geometry (queries are re-sent from the registry).
-  std::unique_ptr<PartitionPlan> base_plan_;
+  // the same geometry (queries are re-sent from the registry). Its grid is
+  // every shard's grid.
+  PartitionPlan base_plan_;
   // The thread driving the control plane (re-pinned at every control op);
   // receive handlers use it to tell inline delivery from a foreign thread.
   std::atomic<std::thread::id> control_thread_;

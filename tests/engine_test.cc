@@ -4,6 +4,7 @@
 
 #include "index/reference_matcher.h"
 #include "partition/plan.h"
+#include "runtime/threaded_engine.h"
 #include "test_util.h"
 
 namespace ps2 {
@@ -38,7 +39,7 @@ TEST_P(ThreadedEngineTest, DeliversReferenceMatches) {
 
   EngineOptions opts;
   opts.num_dispatchers = 2;
-  const RunReport report = RunThreaded(cluster, input, opts);
+  const RunReport report = ThreadedEngine(cluster, opts).Run(input);
   EXPECT_EQ(report.matches_delivered, expected) << GetParam();
   EXPECT_EQ(report.tuples_processed, input.size());
   EXPECT_GT(report.throughput_tps, 0.0);
@@ -66,7 +67,7 @@ TEST(ThreadedEngineTest, ThrottledRunHasBoundedRate) {
   EngineOptions opts;
   opts.num_dispatchers = 1;
   opts.input_rate_tps = 20000.0;
-  const RunReport report = RunThreaded(cluster, input, opts);
+  const RunReport report = ThreadedEngine(cluster, opts).Run(input);
   // Pacing bounds throughput near the requested rate (within 50%).
   EXPECT_LT(report.throughput_tps, 30000.0);
 }
@@ -83,7 +84,7 @@ TEST(ThreadedEngineTest, WorkerMemoryReported) {
   for (const auto& q : w.sample.inserts) {
     input.push_back(StreamTuple::OfInsert(q));
   }
-  const RunReport report = RunThreaded(cluster, input, EngineOptions{});
+  const RunReport report = ThreadedEngine(cluster, EngineOptions{}).Run(input);
   ASSERT_EQ(report.worker_memory_bytes.size(), 3u);
   size_t total = 0;
   for (const size_t b : report.worker_memory_bytes) total += b;

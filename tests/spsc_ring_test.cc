@@ -271,10 +271,11 @@ TEST(SpscRingTest, SharedEventCountAcrossRingsLosesNothing) {
   EXPECT_EQ(total, static_cast<uint64_t>(kRings) * kPerRing);
 }
 
-// Reference model of BoundedQueue's observable stream semantics — bounded
-// FIFO, push fails when full or closed, queued items drain after Close.
-// (The real BoundedQueue blocks instead of failing, so the model exposes
-// the same contract through non-blocking calls the fuzzer can drive.)
+// Reference model of a bounded blocking queue's observable stream semantics
+// — bounded FIFO, push fails when full or closed, queued items drain after
+// Close. (A blocking queue would block instead of failing, so the model
+// exposes the same contract through non-blocking calls the fuzzer can
+// drive.)
 struct QueueModel {
   explicit QueueModel(size_t cap) : capacity(cap) {}
   size_t capacity;
@@ -296,7 +297,7 @@ struct QueueModel {
   }
 };
 
-// Randomized differential run against the BoundedQueue model: identical
+// Randomized differential run against the bounded-queue model: identical
 // operation sequences applied to both must yield identical observable
 // streams through full rings, wraparound, and mid-stream Close.
 TEST(SpscRingTest, FuzzMatchesBoundedQueueSemantics) {

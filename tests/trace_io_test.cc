@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <string>
 
 #include "workload/stream_gen.h"
 #include "workload/synthetic_corpus.h"
@@ -13,7 +16,12 @@ namespace {
 class TraceIoTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/ps2_trace_test.bin";
+  // One file per case and process: ctest runs the cases as parallel
+  // processes, which would otherwise race on a shared path.
+  std::string path_ =
+      ::testing::TempDir() + "/ps2_trace_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(getpid()) + ".bin";
 };
 
 TEST_F(TraceIoTest, RoundTripStream) {
