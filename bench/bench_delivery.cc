@@ -1,6 +1,6 @@
 // End-to-end delivery benchmark: publish -> session-delivery latency and
 // delivery throughput through the full client API (facade -> engine ->
-// merger -> DeliveryRouter -> SubscriberSession), at 100k and 1M live
+// DeliveryRouter dedup window -> SubscriberSession), at 100k and 1M live
 // subscriptions (20k in --smoke). Two paths:
 //
 //   sync      Post() processes inline; matches land in the session before

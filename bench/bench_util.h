@@ -3,8 +3,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "partition/plan.h"
@@ -124,7 +126,12 @@ inline SimReport RunCapacity(Cluster& cluster, const Env& env,
 // table set; a bench that calls InitBench("figNN_x") at the top of main()
 // gets a BENCH_figNN_x.json dump (written at exit, into $PS2_BENCH_JSON_DIR
 // or the working directory) so CI and plotting scripts never have to parse
-// the human-oriented tables.
+// the human-oriented tables. The dump is stamped with the machine it ran on
+// (core count, CPU model, build type), so every figure names its hardware.
+
+#ifndef PS2_BENCH_BUILD_TYPE
+#define PS2_BENCH_BUILD_TYPE "unknown"
+#endif
 
 namespace detail {
 
@@ -165,6 +172,20 @@ inline void JsonEscape(const std::string& in, std::string* out) {
   }
 }
 
+// The "model name" of the first CPU in /proc/cpuinfo.
+inline std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size()) {
+      return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
 inline void DumpJson() {
   JsonState& s = State();
   if (!s.enabled) return;
@@ -175,7 +196,13 @@ inline void DumpJson() {
   if (f == nullptr) return;
   std::string out = "{\n  \"bench\": \"";
   JsonEscape(s.name, &out);
-  out += "\",\n  \"tables\": [\n";
+  out += "\",\n  \"machine\": {\"nproc\": ";
+  out += std::to_string(std::thread::hardware_concurrency());
+  out += ", \"cpu_model\": \"";
+  JsonEscape(CpuModel(), &out);
+  out += "\", \"build_type\": \"";
+  JsonEscape(PS2_BENCH_BUILD_TYPE, &out);
+  out += "\"},\n  \"tables\": [\n";
   for (size_t t = 0; t < s.tables.size(); ++t) {
     const JsonTable& table = s.tables[t];
     out += "    {\"title\": \"";

@@ -19,9 +19,9 @@ namespace ps2 {
 // Routes dedup-fresh matches to subscriber sessions, and owns the sharded
 // (query, object) duplicate window both execution modes filter through: the
 // threaded engine's worker threads call AcceptFresh + DeliverBatch straight
-// from the match path (no merger hop), and the synchronous facade feeds
-// Deliver from Publish/Post — one dedup window, one delivery semantics, so
-// a facade restarted between modes never re-delivers a pair it already
+// from the match path, and the synchronous facade gates each Post's matches
+// through the same AcceptFresh — one dedup window, one delivery semantics,
+// so a facade restarted between modes never re-delivers a pair it already
 // delivered.
 //
 // Concurrency follows the RoutingSnapshot pattern: the QueryId -> session

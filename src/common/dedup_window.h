@@ -9,18 +9,20 @@
 
 namespace ps2 {
 
-// Concurrent (query, object) duplicate filter: the merger's FIFO-window
-// semantics, lock-striped so worker threads deduplicate on the match path
-// without a global serialization point. Duplicates arise whenever a query
-// is stored on several workers (wide regions, multi-term text routing,
-// live-migration copies) and an object reaches more than one of them; the
-// stream is roughly ordered by object id, so duplicates of a pair arrive
-// close together and a bounded window suffices.
+// Concurrent (query, object) duplicate filter over a bounded FIFO window,
+// lock-striped so worker threads deduplicate on the match path without a
+// global serialization point. Each delivery sink owns one. Duplicates
+// arise whenever a query is stored on several workers (wide regions,
+// multi-term text routing, live-migration copies) and an object reaches
+// more than one of them, and when a caller posts the same object id twice;
+// the stream is roughly ordered by object id, so duplicates of a pair
+// arrive close together and a bounded window suffices.
 //
 // Keys hash-stripe across 64 shards; each shard holds 1/64 of the window
 // and its own mutex, so concurrent AcceptFresh calls only collide when two
 // matches land in the same shard. A collision between two distinct pairs'
-// 64-bit keys only suppresses one delivery (same trade the merger makes).
+// 64-bit keys only suppresses one delivery; the odds are negligible at the
+// window sizes used.
 class ShardedDedupWindow {
  public:
   explicit ShardedDedupWindow(size_t window_capacity = 1 << 20) {
@@ -64,8 +66,7 @@ class ShardedDedupWindow {
   }
 
  private:
-  // Same 64-bit mix as the merger, so both filters agree on which pairs
-  // alias (the audit mode compares their verdicts one to one).
+  // 64-bit mix of (query, object); the top 6 bits pick the shard.
   static uint64_t Key(uint64_t query_id, uint64_t object_id) {
     uint64_t h = query_id * 0x9E3779B97F4A7C15ULL;
     h ^= object_id + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);

@@ -128,11 +128,12 @@ struct StreamTuple {
   }
 };
 
-// A (query, object) match produced by a worker and deduplicated by the
-// merger before delivery to the subscriber. `score`/`expire_us` ride along
-// for the scored subscription classes (0 for boolean matches; expire 0
-// means "never expires") but identity and ordering stay id-only — the same
-// pair produced by two paths is one match regardless of stamps.
+// A (query, object) match produced by a worker and deduplicated (per object
+// in Cluster, per window in the delivery sink) before it reaches the
+// subscriber. `score`/`expire_us` ride along for the scored subscription
+// classes (0 for boolean matches; expire 0 means "never expires") but
+// identity and ordering stay id-only — the same pair produced by two paths
+// is one match regardless of stamps.
 struct MatchResult {
   QueryId query_id = 0;
   ObjectId object_id = 0;

@@ -1,13 +1,14 @@
 #include "runtime/cluster.h"
 
+#include <algorithm>
+
 namespace ps2 {
 
 Cluster::Cluster(PartitionPlan plan, const Vocabulary* vocab,
                  ClusterOptions options)
     : vocab_(vocab),
       index_(std::move(plan), vocab),
-      dispatcher_(&index_),
-      merger_(options.merger_window) {
+      dispatcher_(&index_) {
   const int m = index_.plan().num_workers;
   workers_.reserve(m);
   for (int i = 0; i < m; ++i) {
@@ -18,10 +19,14 @@ Cluster::Cluster(PartitionPlan plan, const Vocabulary* vocab,
 
 void Cluster::Process(const StreamTuple& tuple,
                       std::vector<MatchResult>* delivered) {
+  for (const auto& d : Route(tuple)) Apply(tuple, d, delivered);
+}
+
+const std::vector<Dispatcher::Delivery>& Cluster::Route(
+    const StreamTuple& tuple) {
   dispatcher_.Route(tuple, &scratch_deliveries_);
-  for (const auto& d : scratch_deliveries_) {
-    Apply(tuple, d, delivered);
-  }
+  emitted_.clear();
+  return scratch_deliveries_;
 }
 
 void Cluster::Apply(const StreamTuple& tuple,
@@ -32,11 +37,24 @@ void Cluster::Apply(const StreamTuple& tuple,
       scratch_matches_.clear();
       workers_[d.worker].Match(tuple.object, &scratch_matches_);
       tallies_[d.worker].objects++;
-      for (const auto& m : scratch_matches_) {
-        if (merger_.Accept(m) && delivered != nullptr) {
-          delivered->push_back(m);
+      if (scratch_deliveries_.size() <= 1) {
+        if (delivered != nullptr) {
+          delivered->insert(delivered->end(), scratch_matches_.begin(),
+                            scratch_matches_.end());
         }
+        break;
       }
+      const size_t earlier = emitted_.size();
+      for (const auto& m : scratch_matches_) {
+        if (std::binary_search(emitted_.begin(), emitted_.begin() + earlier,
+                               m.query_id)) {
+          ++duplicates_suppressed_;
+          continue;
+        }
+        emitted_.push_back(m.query_id);
+        if (delivered != nullptr) delivered->push_back(m);
+      }
+      std::sort(emitted_.begin(), emitted_.end());
       break;
     }
     case TupleKind::kQueryInsert:

@@ -10,7 +10,6 @@
 #include "core/query.h"
 #include "dispatch/dispatcher.h"
 #include "dispatch/gridt_index.h"
-#include "dispatch/merger.h"
 #include "index/gi2.h"
 #include "partition/plan.h"
 
@@ -18,7 +17,6 @@ namespace ps2 {
 
 struct ClusterOptions {
   Gi2Index::Options worker_index;
-  size_t merger_window = 1 << 20;
 };
 
 // Outcome of moving one cell's queries between workers.
@@ -28,10 +26,11 @@ struct MigrationStats {
 };
 
 // The logical PS2Stream cluster: one routing index (shared by all
-// dispatchers), one GI2 per worker, one merger. This class is the
-// *synchronous* core — tuples are processed inline — used directly by
-// tests, the simulator and the load adjusters; ThreadedEngine runs the same
-// cluster across real threads for wall-clock throughput/latency.
+// dispatchers), one GI2 per worker, and a per-object duplicate filter in
+// the merger's place (Figure 1). This class is the *synchronous* core —
+// tuples are processed inline — used directly by tests, the simulator and
+// the load adjusters; ThreadedEngine runs the same cluster across real
+// threads for wall-clock throughput/latency.
 class Cluster {
  public:
   Cluster(PartitionPlan plan, const Vocabulary* vocab,
@@ -39,23 +38,33 @@ class Cluster {
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
-  // Processes one tuple end to end. For objects, newly delivered (deduped)
-  // matches are appended to `delivered` when non-null.
+  // Processes one tuple end to end: Route, then Apply every delivery. For
+  // objects, the matches are appended to `delivered` when non-null.
   void Process(const StreamTuple& tuple,
                std::vector<MatchResult>* delivered = nullptr);
 
-  // Applies one routed delivery to its worker (updating load tallies and,
-  // for objects, pushing matches through the merger). Callers that need
-  // per-delivery control (the simulator's service-time accounting) route
-  // via dispatcher() themselves and then Apply each delivery.
+  // Routes one tuple and opens its duplicate filter. Callers that need
+  // per-delivery control (the simulator's service-time accounting) Route,
+  // then Apply each returned delivery in order before routing the next
+  // tuple. The vector is reused by the next Route/Process call.
+  const std::vector<Dispatcher::Delivery>& Route(const StreamTuple& tuple);
+
+  // Applies one routed delivery of the last routed tuple to its worker,
+  // updating load tallies. For an object, a match is dropped (and counted
+  // in duplicates_suppressed()) if, and only if, an earlier delivery of the
+  // same tuple already emitted its query: a query stored on several
+  // workers (wide regions, multi-term text routing) matches once per
+  // worker the object reaches. One worker never emits a query twice.
   void Apply(const StreamTuple& tuple, const Dispatcher::Delivery& delivery,
              std::vector<MatchResult>* delivered = nullptr);
+
+  // Cross-worker duplicates Apply dropped over the cluster's lifetime.
+  uint64_t duplicates_suppressed() const { return duplicates_suppressed_; }
 
   // --- components ----------------------------------------------------------
   GridtIndex& router() { return index_; }
   const GridtIndex& router() const { return index_; }
   Dispatcher& dispatcher() { return dispatcher_; }
-  Merger& merger() { return merger_; }
   Gi2Index& worker(WorkerId w) { return workers_[w]; }
   const Gi2Index& worker(WorkerId w) const { return workers_[w]; }
   const Vocabulary& vocab() const { return *vocab_; }
@@ -93,11 +102,14 @@ class Cluster {
   const Vocabulary* vocab_;
   GridtIndex index_;
   Dispatcher dispatcher_;
-  Merger merger_;
   std::vector<Gi2Index> workers_;
   std::vector<WorkerLoadTally> tallies_;
   std::vector<Dispatcher::Delivery> scratch_deliveries_;
   std::vector<MatchResult> scratch_matches_;
+  // Per-tuple duplicate filter: the sorted query ids earlier deliveries of
+  // the routed tuple emitted. Unused when the tuple reaches one worker.
+  std::vector<QueryId> emitted_;
+  uint64_t duplicates_suppressed_ = 0;
 };
 
 }  // namespace ps2

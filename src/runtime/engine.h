@@ -22,17 +22,9 @@ struct EngineOptions {
   size_t batch_size = 64;
   // Input pacing in tuples/second; 0 = unthrottled (throughput mode).
   double input_rate_tps = 0.0;
-  // Retain every dedup-fresh match for later inspection (tests compare the
-  // exact deduped match set against the synchronous cluster).
-  bool collect_matches = false;
   // How engine threads wait on empty/full rings (see common/wait_strategy.h):
   // park immediately, spin adaptively before parking, or busy-poll.
   WaitStrategy wait_strategy = WaitStrategy::kBlocking;
-  // Audit mode: replay every worker match through the classic merger (under
-  // a global lock, as the pre-ring engine did) and count verdicts that
-  // disagree with the sharded dedup window. Serializes the match path —
-  // for equivalence tests only, never production runs.
-  bool merger_audit = false;
   // Recent-tuple window kept for the controller's Phase-I term statistics
   // (spread across dispatcher-local rings).
   size_t window_capacity = 1 << 15;
@@ -55,9 +47,9 @@ struct EngineOptions {
 
   // When non-null, worker threads deduplicate through this sink's shared
   // (query, object) window and deliver every fresh match straight through
-  // it — no merger hop. In-process the sink is a DeliveryRouter (matches
-  // land in subscriber sessions); in the shard fabric it is a per-shard
-  // egress that serializes matches onto the transport. Not owned; must
+  // it. In-process the sink is a DeliveryRouter (matches land in
+  // subscriber sessions); in the shard fabric it is a per-shard egress
+  // that serializes matches onto the transport. Not owned; must
   // outlive the engine. PS2Stream::Start() wires its own router here so
   // started-mode delivery matches the synchronous facade.
   DeliverySink* delivery = nullptr;

@@ -142,10 +142,10 @@ Status EngineHost::Post(const SpatioTextualObject& object,
   }
   fresh_.clear();
   cluster_->Process(tuple, &fresh_);
-  // Gate on the sink's window even though the cluster's merger already
-  // deduplicated: it is the window the started engine's workers filter
-  // through, so a host alternating between modes never re-delivers a pair
-  // across the transition.
+  // The cluster dropped this object's cross-worker duplicates; the sink's
+  // window drops a pair seen before — a repeated object id, or a pair the
+  // started engine's workers (which filter through the same window)
+  // already delivered before a Stop.
   staged_.clear();
   for (const MatchResult& m : fresh_) {
     if (!sink_->AcceptFresh(m.query_id, m.object_id)) continue;

@@ -78,7 +78,6 @@ void RunReport::MergeShard(const RunReport& shard) {
   dedup_kills += shard.dedup_kills;
   wait_spins += shard.wait_spins;
   wait_parks += shard.wait_parks;
-  audit_mismatches += shard.audit_mismatches;
   worker_ring_highwater.insert(worker_ring_highwater.end(),
                                shard.worker_ring_highwater.begin(),
                                shard.worker_ring_highwater.end());
@@ -161,10 +160,6 @@ std::string RunReport::Summary() const {
             static_cast<unsigned long long>(rate_limited),
             static_cast<unsigned long long>(overload_trips),
             static_cast<unsigned long long>(overload_sheds));
-  }
-  if (audit_mismatches > 0) {
-    AppendF(&out, " AUDIT_MISMATCHES=%llu",
-            static_cast<unsigned long long>(audit_mismatches));
   }
   return out;
 }

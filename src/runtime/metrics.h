@@ -18,14 +18,14 @@ struct RunReport {
   uint64_t deletes = 0;
   uint64_t matches_delivered = 0;
   uint64_t duplicates_suppressed = 0;
-  // Matches emitted by worker indexes before merger dedup (>= delivered;
-  // the gap is cross-worker duplicates plus matches found after Stop()'s
-  // drain cutoff in aborted runs).
+  // Matches emitted by worker indexes before dedup (>= delivered; the gap
+  // is cross-worker duplicates plus matches found after Stop()'s drain
+  // cutoff in aborted runs).
   uint64_t matches_emitted = 0;
   uint64_t objects_discarded = 0;
   // Session delivery (api/ layer, aggregated across sessions by
   // PS2Stream::Stop): deliveries handed to subscriber sessions, deliveries
-  // lost to backpressure/closed sessions, and merger-fresh matches whose
+  // lost to backpressure/closed sessions, and dedup-fresh matches whose
   // query had no routed session.
   uint64_t session_deliveries = 0;
   uint64_t session_drops = 0;
@@ -55,7 +55,6 @@ struct RunReport {
   uint64_t dedup_kills = 0;        // duplicates the sharded window suppressed
   uint64_t wait_spins = 0;         // spin iterations across all WaitContexts
   uint64_t wait_parks = 0;         // futex parks across all WaitContexts
-  uint64_t audit_mismatches = 0;   // merger-audit verdict disagreements
   // Deepest any of a worker's SPSC data rings ever got (one entry per
   // worker; producer-side estimate).
   std::vector<uint64_t> worker_ring_highwater;

@@ -41,7 +41,6 @@ const Metric kMetrics[] = {
     PS2_COUNTER(dedup_kills, "Duplicates the shared window suppressed."),
     PS2_COUNTER(wait_spins, "Wait-strategy spin iterations."),
     PS2_COUNTER(wait_parks, "Wait-strategy futex parks."),
-    PS2_COUNTER(audit_mismatches, "Merger-audit verdict disagreements."),
     PS2_COUNTER(adjustments, "Load-controller checks that moved work."),
     PS2_COUNTER(cells_migrated, "Cells migrated by load adjustment."),
     PS2_COUNTER(queries_migrated, "Queries migrated by load adjustment."),

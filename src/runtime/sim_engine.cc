@@ -27,9 +27,7 @@ SimReport RunSimulation(Cluster& cluster,
   // Sliding window of recent tuples for Phase I term statistics.
   std::deque<const StreamTuple*> window;
 
-  std::vector<Dispatcher::Delivery> deliveries;
   std::vector<MatchResult> matches;
-  Dispatcher& dispatcher = cluster.dispatcher();
 
   size_t since_check = 0;
   for (size_t i = 0; i < input.size(); ++i) {
@@ -39,9 +37,8 @@ SimReport RunSimulation(Cluster& cluster,
     window.push_back(&tuple);
     if (window.size() > options.window_capacity) window.pop_front();
 
-    dispatcher.Route(tuple, &deliveries);
     double finish_max = arrival;
-    for (const auto& d : deliveries) {
+    for (const auto& d : cluster.Route(tuple)) {
       double service_us = 0.0;
       switch (tuple.kind) {
         case TupleKind::kObject:
@@ -201,9 +198,9 @@ RunReport SimEngine::Run(const std::vector<StreamTuple>& input) {
   report.throughput_tps = sim_report_.throughput_windowed_tps;
   report.latency = sim_report_.latency;
   report.matches_delivered = sim_report_.matches_delivered;
-  report.duplicates_suppressed = cluster_.merger().duplicates();
-  // Every sim-side match flows through Merger::Accept, so worker-emitted
-  // matches are exactly delivered + suppressed duplicates.
+  report.duplicates_suppressed = cluster_.duplicates_suppressed();
+  // Cluster::Apply either delivers or suppresses every worker match, so
+  // worker-emitted matches are exactly delivered + suppressed duplicates.
   report.matches_emitted =
       sim_report_.matches_delivered + report.duplicates_suppressed;
   report.objects_discarded = cluster_.dispatcher().stats().objects_discarded;

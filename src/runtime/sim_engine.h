@@ -22,11 +22,11 @@ class DeliverySink;
 
 struct SimOptions {
   double arrival_rate_tps = 50000.0;
-  // When non-null, every merger-fresh match is delivered through this sink
-  // (in-process: a DeliveryRouter, so matches reach the routed subscriber
-  // sessions) with *virtual* timestamps (publish = arrival, deliver = the
-  // worker's service finish), so session latency histograms report
-  // simulated publish->deliver time. Not owned.
+  // When non-null, every match the cluster's per-object filter keeps is
+  // delivered through this sink (in-process: a DeliveryRouter, so matches
+  // reach the routed subscriber sessions) with *virtual* timestamps
+  // (publish = arrival, deliver = the worker's service finish), so session
+  // latency histograms report simulated publish->deliver time. Not owned.
   DeliverySink* delivery = nullptr;
   // Per-delivery service times. With measure_service = true, the *measured*
   // CPU time of the actual GI2 operation is used and these constants become

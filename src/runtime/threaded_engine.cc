@@ -324,13 +324,11 @@ void ThreadedEngine::Start() {
   updates_submitted_.store(0);
   updates_published_.store(0);
   migrations_installed_.store(0, std::memory_order_relaxed);
-  audit_mismatches_.store(0, std::memory_order_relaxed);
   submitted_objects_ = submitted_inserts_ = submitted_deletes_ = 0;
   submit_pushed_.assign(static_cast<size_t>(num_dispatchers), 0);
   submit_rr_ = 0;
   submit_wait_ = WaitContext(options_.wait_strategy);
   last_check_tuples_ = 0;
-  collected_.clear();
   ctl_stop_ = false;
   discard_.store(false, std::memory_order_relaxed);
   start_us_ = NowMicros();
@@ -480,21 +478,6 @@ void ThreadedEngine::DataPlaneFill(uint64_t* pending,
   }
   *pending = p;
   *capacity = c;
-}
-
-std::vector<MatchResult> ThreadedEngine::TakeMatches() {
-  std::vector<MatchResult> out;
-  TakeMatches(&out);
-  return out;
-}
-
-void ThreadedEngine::TakeMatches(std::vector<MatchResult>* out) {
-  out->clear();
-  std::lock_guard<std::mutex> lock(merge_mu_);
-  // Swap rather than copy: the caller's (cleared) buffer becomes the new
-  // collection target, so a consumer draining in a loop ping-pongs two
-  // warmed buffers instead of reallocating per drain.
-  collected_.swap(*out);
 }
 
 // ---------------------------------------------------------------------------
@@ -740,8 +723,14 @@ void ThreadedEngine::WorkerLoop(int w) {
             }
             return sc.buf[i0].submit_us;  // unreachable: every match's object is in the run
           };
-          const auto stage_delivery = [&](const MatchResult& m) {
-            if (delivery == nullptr) return;
+          // Per-shard dedup, no global lock.
+          for (const auto& m : matches) {
+            if (!accept_fresh(m)) {
+              ++ws.dedup_kills;
+              continue;
+            }
+            ++ws.dedup_fresh;
+            if (delivery == nullptr) continue;
             Delivery d;
             d.query_id = m.query_id;
             d.object_id = m.object_id;
@@ -749,39 +738,6 @@ void ThreadedEngine::WorkerLoop(int w) {
             d.score = m.score;
             d.expire_us = m.expire_us;
             pending.push_back(d);
-          };
-          if (!options_.merger_audit && !options_.collect_matches) {
-            // Hot path: per-shard dedup, no global lock.
-            for (const auto& m : matches) {
-              if (!accept_fresh(m)) {
-                ++ws.dedup_kills;
-                continue;
-              }
-              ++ws.dedup_fresh;
-              stage_delivery(m);
-            }
-          } else {
-            // Audit / collection path: serialize so the merger replay sees
-            // matches in the same order the dedup window judged them (a
-            // cross-worker duplicate would otherwise be charged to
-            // different workers by the two filters and miscount as two
-            // mismatches).
-            std::lock_guard<std::mutex> lock(merge_mu_);
-            Merger& merger = cluster_.merger();
-            for (const auto& m : matches) {
-              const bool is_fresh = accept_fresh(m);
-              if (options_.merger_audit &&
-                  merger.Accept(m) != is_fresh) {
-                audit_mismatches_.fetch_add(1, std::memory_order_relaxed);
-              }
-              if (!is_fresh) {
-                ++ws.dedup_kills;
-                continue;
-              }
-              ++ws.dedup_fresh;
-              if (options_.collect_matches) collected_.push_back(m);
-              stage_delivery(m);
-            }
           }
           // Deliver outside all engine locks: a kBlock session may block
           // this worker on a full queue, and that must stall only this
@@ -1046,8 +1002,6 @@ RunReport ThreadedEngine::AssembleReport() {
                               : 0.0;
   report.wait_spins = submit_wait_.spins();
   report.wait_parks = submit_wait_.parks();
-  report.audit_mismatches =
-      audit_mismatches_.load(std::memory_order_relaxed);
   for (const auto& ws : workers_) {
     report.matches_emitted +=
         ws->matches_emitted.load(std::memory_order_relaxed);

@@ -41,13 +41,10 @@ namespace ps2 {
 //     head and sweeps its other rings; the pending update is always
 //     reachable there (a blocked cycle would require an update pushed
 //     before itself), so the stall resolves without spinning.
-//   - The match path is merger-free: each worker deduplicates its fresh
-//     matches through the delivery router's sharded (query, object) window
-//     (or an engine-local one when no router is wired) and delivers
-//     straight to the subscriber sessions — no cross-worker serialization
-//     point. EngineOptions::merger_audit additionally replays every match
-//     through the classic merger and counts disagreements, as an
-//     equivalence audit.
+//   - The match path has one duplicate filter: each worker deduplicates its
+//     matches through the delivery sink's sharded (query, object) window
+//     (or an engine-local one when no sink is wired) and delivers straight
+//     to the subscriber sessions — no cross-worker serialization point.
 //   - The optional controller thread runs the LoadController against live
 //     per-worker tallies. Migrations install live: query copies are placed
 //     at the destination first, the post-migration routing table is built
@@ -121,12 +118,6 @@ class ThreadedEngine : public Engine {
   // stopped.
   void DataPlaneFill(uint64_t* pending, uint64_t* capacity) const;
 
-  // Matches accepted by the dedup window (requires options.collect_matches).
-  std::vector<MatchResult> TakeMatches();
-  // Allocation-reusing variant: swaps the collected matches into `out`
-  // (cleared first), so a draining consumer reuses capacity across calls.
-  void TakeMatches(std::vector<MatchResult>* out);
-
  private:
   struct Latch;
   struct WorkItem;
@@ -169,7 +160,6 @@ class ThreadedEngine : public Engine {
   // part of the controller's migration barrier.
   std::atomic<int> update_pushes_{0};
   std::atomic<uint64_t> migrations_installed_{0};
-  std::atomic<uint64_t> audit_mismatches_{0};
 
   // Submit-side state (single producer).
   uint64_t submitted_objects_ = 0;
@@ -180,9 +170,6 @@ class ThreadedEngine : public Engine {
   std::vector<uint64_t> submit_pushed_;
   size_t submit_rr_ = 0;
   WaitContext submit_wait_{WaitStrategy::kBlocking};
-
-  std::mutex merge_mu_;
-  std::vector<MatchResult> collected_;
 
   std::mutex ctl_mu_;
   std::condition_variable ctl_cv_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "partition/plan.h"
+#include "runtime/sim_engine.h"
 #include "test_util.h"
 
 namespace ps2 {
@@ -53,7 +54,8 @@ TEST_F(ClusterTest, EndToEndMatch) {
   EXPECT_EQ(delivered[0].query_id, 1u);
 }
 
-TEST_F(ClusterTest, QuerySpanningWorkersDeduplicatedByMerger) {
+TEST_F(ClusterTest, QuerySpanningWorkersMatchesOncePerObject) {
+  Cluster sim_cluster(cluster_->router().plan(), &vocab_);
   // Region spans both halves; object near the seam matches once.
   cluster_->Process(StreamTuple::OfInsert(Query(1, {a_}, Rect(6, 6, 10, 10))));
   std::vector<MatchResult> delivered;
@@ -61,6 +63,34 @@ TEST_F(ClusterTest, QuerySpanningWorkersDeduplicatedByMerger) {
                         11, Point{7, 7}, {a_})),
                     &delivered);
   EXPECT_EQ(delivered.size(), 1u);
+
+  // A text-split cell stores an `a OR b` query on both workers; an object
+  // holding both terms reaches both workers and still matches once.
+  const auto setup = [&](Cluster& c) {
+    STSQuery q;
+    q.id = 2;
+    q.expr = BoolExpr::Or({a_, b_});
+    q.region = Rect(0, 0, 2, 2);
+    c.Process(StreamTuple::OfInsert(q));
+    c.TextSplitCell(grid_.CellOf(Point{1, 1}), /*keep=*/0, /*to=*/1,
+                    {{a_, 0}, {b_, 1}});
+  };
+  setup(*cluster_);
+  const StreamTuple object = StreamTuple::OfObject(
+      SpatioTextualObject::FromTerms(16, Point{1, 1}, {a_, b_}));
+  delivered.clear();
+  cluster_->Process(object, &delivered);
+  EXPECT_EQ(delivered, std::vector<MatchResult>{(MatchResult{2, 16})});
+
+  // The simulator applies the same filter and accounts for every match.
+  setup(sim_cluster);
+  SimOptions opts;
+  opts.enable_adjust = false;
+  const RunReport report = SimEngine(sim_cluster, opts).Run({object});
+  EXPECT_EQ(report.matches_delivered, 1u);
+  EXPECT_GT(report.duplicates_suppressed, 0u);
+  EXPECT_EQ(report.matches_emitted,
+            report.matches_delivered + report.duplicates_suppressed);
 }
 
 TEST_F(ClusterTest, TalliesTrackDeliveries) {

@@ -86,10 +86,58 @@ TEST(DeliverySemanticsTest, SyncAndStartedModesDeliverTheSameSet) {
   EXPECT_EQ(sync_set, started_set);
 }
 
+// Posting the same caller-chosen object id twice delivers each of its
+// matches once in every mode: the delivery sink's window, not the cluster,
+// owns suppression across posts.
+TEST(DeliverySemanticsTest, RepeatedObjectIdDeliversOnceInEveryMode) {
+  struct Mode {
+    const char* name;
+    int num_shards;
+    bool started;
+  };
+  const Mode kModes[] = {
+      {"sync", 1, false}, {"started", 1, true}, {"fabric-2", 2, false}};
+  auto w = testutil::MakeWorkload(1215, 400, 120);
+  ReferenceMatcher ref;
+  for (const auto& q : w.sample.inserts) ref.Insert(q);
+  std::vector<MatchResult> expected;
+  for (const auto& o : w.extra_objects) {
+    const auto ms = ref.Match(o);
+    expected.insert(expected.end(), ms.begin(), ms.end());
+  }
+  ASSERT_FALSE(expected.empty());
+
+  for (const Mode& mode : kModes) {
+    SCOPED_TRACE(mode.name);
+    PS2StreamOptions opts;
+    opts.partition.num_workers = 2;
+    opts.engine.num_dispatchers = 1;
+    opts.sharding.num_shards = mode.num_shards;
+    PS2Stream ps2(opts);
+    ps2.Bootstrap(w.sample);
+    SessionOptions sopts;
+    sopts.queue_capacity = 1 << 16;  // never overflows: exact-set comparison
+    auto session = ps2.OpenSession(sopts);
+    for (const auto& q : w.sample.inserts) {
+      auto sub = ps2.Subscribe(session, q);
+      ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+      sub->Release();
+    }
+    if (mode.started) ps2.Start();
+    for (const auto& o : w.extra_objects) {
+      ASSERT_TRUE(ps2.Post(o).ok());
+      ASSERT_TRUE(ps2.Post(o).ok());
+    }
+    if (mode.started) ps2.Stop();
+    EXPECT_EQ(testutil::Sorted(ToMatches(DrainAll(*session))),
+              testutil::Sorted(expected));
+  }
+}
+
 // A deliberately pathological plan (everything on worker 0) forces the
 // online controller to migrate cells mid-run; sessions must still receive
 // exactly the reference match set — no delivery lost to a routing swap, no
-// duplicate surviving the merger.
+// duplicate surviving the dedup window.
 TEST(DeliveryLiveMigrationTest, SessionSetSurvivesLiveMigration) {
   auto w = testutil::MakeWorkload(1203, 1600, 400);
   PartitionPlan plan;
@@ -165,13 +213,10 @@ TEST(DeliveryLiveMigrationTest, SessionSetSurvivesLiveMigration) {
   EXPECT_EQ(session->stats().dropped, 0u);
 }
 
-// Merger audit: with EngineOptions::merger_audit the workers replay every
-// match verdict through the retired merger and count disagreements with the
-// router's dedup window. Under live migration — where cell moves re-emit
-// matches from two workers and the window is what keeps them unique — the
-// two filters must agree verdict-for-verdict, and the audited run must
-// still deliver exactly the reference set the merger-free run delivers.
-TEST(DeliveryLiveMigrationTest, MergerAuditAgreesWithDedupWindow) {
+// Under live migration, cell moves re-emit matches from two workers and the
+// router's dedup window is the only filter that keeps them unique: with an
+// unbounded session queue the delivered set is exactly the reference set.
+TEST(DeliveryLiveMigrationTest, DedupWindowDeliversMigrationCopiesOnce) {
   auto w = testutil::MakeWorkload(1213, 1600, 400);
   PartitionPlan plan;
   plan.grid = GridSpec(w.sample.Bounds(), 4);
@@ -197,36 +242,28 @@ TEST(DeliveryLiveMigrationTest, MergerAuditAgreesWithDedupWindow) {
     expected.insert(expected.end(), ms.begin(), ms.end());
   }
 
-  auto run = [&](bool audit) {
-    DeliveryRouter router;
-    SessionOptions sopts;
-    sopts.queue_capacity = 1 << 20;  // never overflows: exact-set comparison
-    auto session = std::make_shared<SubscriberSession>(sopts);
-    router.RegisterSession(session);
-    for (const auto& q : w.sample.inserts) router.Route(q.id, session);
+  DeliveryRouter router;
+  SessionOptions sopts;
+  sopts.queue_capacity = 1 << 20;  // never overflows: exact-set comparison
+  auto session = std::make_shared<SubscriberSession>(sopts);
+  router.RegisterSession(session);
+  for (const auto& q : w.sample.inserts) router.Route(q.id, session);
 
-    Cluster cluster(plan, &w.vocab);
-    EngineOptions opts;
-    opts.num_dispatchers = 2;
-    opts.delivery = &router;
-    opts.merger_audit = audit;
-    opts.controller.enabled = true;
-    opts.controller.interval_ms = 2;
-    opts.controller.min_tuples = 400;
-    opts.controller.config.adjust.sigma = 1.3;
-    ThreadedEngine engine(cluster, opts);
-    const RunReport report = engine.Run(input);
+  Cluster cluster(plan, &w.vocab);
+  EngineOptions opts;
+  opts.num_dispatchers = 2;
+  opts.delivery = &router;
+  opts.controller.enabled = true;
+  opts.controller.interval_ms = 2;
+  opts.controller.min_tuples = 400;
+  opts.controller.config.adjust.sigma = 1.3;
+  ThreadedEngine engine(cluster, opts);
+  const RunReport report = engine.Run(input);
 
-    EXPECT_EQ(report.audit_mismatches, 0u) << (audit ? "audit" : "merger-free");
-    EXPECT_EQ(report.matches_delivered, expected.size());
-    return testutil::Sorted(ToMatches(DrainAll(*session)));
-  };
-
-  const auto merger_free = run(false);
-  const auto audited = run(true);
-  ASSERT_FALSE(merger_free.empty());
-  EXPECT_EQ(merger_free, testutil::Sorted(expected));
-  EXPECT_EQ(audited, merger_free);
+  EXPECT_EQ(report.matches_delivered, expected.size());
+  const auto got = testutil::Sorted(ToMatches(DrainAll(*session)));
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got, testutil::Sorted(expected));
 }
 
 // Subscription churn while the engine runs and a consumer drains: the
@@ -346,8 +383,8 @@ TEST(DeliveryStopDrainTest, BlockedConsumerCannotWedgeStop) {
 }
 
 // The virtual-time twin: RunSimulation with a delivery router wired in
-// reports simulated publish->deliver latency and delivers the merger's
-// exact fresh-match count to the session.
+// reports simulated publish->deliver latency and delivers the cluster's
+// exact per-object-filtered match count to the session.
 TEST(DeliverySimEngineTest, SimDeliversWithVirtualTimestamps) {
   auto w = testutil::MakeWorkload(1211, 700, 200);
   PartitionConfig cfg;

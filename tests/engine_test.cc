@@ -11,8 +11,8 @@ namespace ps2 {
 namespace {
 
 // The threaded engine must deliver exactly the reference match set (the
-// merger dedups; ordering differs, counts must agree) and report sane
-// metrics.
+// dedup window drops cross-worker duplicates; ordering differs, counts must
+// agree) and report sane metrics.
 class ThreadedEngineTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ThreadedEngineTest, DeliversReferenceMatches) {

@@ -76,9 +76,8 @@ TEST_P(LocalAdjustSelectorTest, ImprovesBalanceAndPreservesMatching) {
             0u);
   // Work actually moved off the hot worker.
   EXPECT_LT(s.cluster->worker(0).NumActiveQueries(), s.ref.size());
-  // Matching correctness preserved after migration. Fresh object ids so the
-  // merger's (query, object) dedup window cannot confuse these probes with
-  // the load-generation objects published earlier.
+  // Matching correctness preserved after migration. Fresh object ids, one
+  // per probe, as the cluster's duplicate filter assumes of every stream.
   auto w2 = testutil::MakeWorkload(402, 200, 0);
   ObjectId probe_id = 10'000'000;
   for (auto o : w2.sample.objects) {

@@ -185,7 +185,7 @@ TEST(MetricsExporterTest, PeriodicExporterDumpsAndStopsCleanly) {
 
 // A report with every optional section active and worst-case-wide counters
 // used to overflow Summary()'s fixed buffer, silently truncating the tail
-// (the fault and audit sections vanished first — exactly the ones a
+// (the fault and admission sections vanished first — exactly the ones a
 // post-mortem needs). The rewrite sizes the output to fit.
 RunReport MakeWorstCaseReport() {
   const uint64_t big = std::numeric_limits<uint64_t>::max();
@@ -213,7 +213,6 @@ RunReport MakeWorstCaseReport() {
   r.rate_limited = big;
   r.overload_trips = big;
   r.overload_sheds = big;
-  r.audit_mismatches = big;
   for (int i = 0; i < 1000; ++i) r.latency.Record(1e9 + i);
   for (int i = 0; i < 1000; ++i) r.delivery_latency.Record(1e9 + i);
   return r;
@@ -236,7 +235,7 @@ TEST(RunReportSummaryTest, SummaryIsTruncationSafe) {
             std::string::npos);
   EXPECT_NE(out.find(" admission{quota=18446744073709551615"),
             std::string::npos);
-  const std::string tail = " AUDIT_MISMATCHES=18446744073709551615";
+  const std::string tail = " sheds=18446744073709551615}";
   ASSERT_GE(out.size(), tail.size());
   EXPECT_EQ(out.substr(out.size() - tail.size()), tail);
 }
@@ -251,7 +250,7 @@ TEST(RunReportSummaryTest, FleetSummaryIsTruncationSafe) {
   EXPECT_NE(out.find("shard 2: "), std::string::npos);
   EXPECT_NE(out.find("\nfleet:   "), std::string::npos);
   // The fleet line is last and intact.
-  const std::string tail = " AUDIT_MISMATCHES=18446744073709551615";
+  const std::string tail = " sheds=18446744073709551615}";
   EXPECT_EQ(out.substr(out.size() - tail.size()), tail);
   // Each of the three shard sections plus the fleet line carries the full
   // admission segment.

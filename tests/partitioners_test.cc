@@ -11,7 +11,8 @@ namespace {
 
 // The central property suite, parameterized over every partitioner: any
 // plan must (a) be structurally valid, (b) satisfy *routing completeness* —
-// the distributed pipeline (dispatcher -> GI2 workers -> merger) delivers
+// the distributed pipeline (dispatcher -> GI2 workers -> per-object
+// duplicate filter) delivers
 // exactly the matches the single-node reference matcher finds — and (c)
 // keep the estimated load distribution sane.
 class PartitionerPropertyTest : public ::testing::TestWithParam<std::string> {

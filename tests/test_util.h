@@ -2,9 +2,13 @@
 #define PS2_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "api/delivery_sink.h"
+#include "common/dedup_window.h"
 #include "common/rng.h"
 #include "core/workload_stats.h"
 #include "index/reference_matcher.h"
@@ -91,6 +95,40 @@ inline std::vector<MatchResult> Sorted(std::vector<MatchResult> v) {
   std::sort(v.begin(), v.end());
   return v;
 }
+
+// A delivery sink that keeps every match an engine hands it, behind the
+// same kind of (query, object) window the production sinks filter through.
+// Thread-safe: worker threads deliver concurrently.
+class CollectingSink final : public DeliverySink {
+ public:
+  bool AcceptFresh(QueryId query_id, ObjectId object_id) override {
+    return dedup_.AcceptFresh(query_id, object_id);
+  }
+  void Deliver(const MatchResult& m, int64_t /*publish_us*/) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    matches_.push_back(m);
+  }
+  void DeliverBatch(const Delivery* pending, size_t n) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < n; ++i) {
+      MatchResult m;
+      m.query_id = pending[i].query_id;
+      m.object_id = pending[i].object_id;
+      matches_.push_back(m);
+    }
+  }
+
+  // Every match delivered so far, in delivery order.
+  std::vector<MatchResult> Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(matches_, {});
+  }
+
+ private:
+  ShardedDedupWindow dedup_;
+  std::mutex mu_;
+  std::vector<MatchResult> matches_;
+};
 
 }  // namespace testutil
 }  // namespace ps2

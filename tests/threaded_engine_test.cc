@@ -47,15 +47,15 @@ TEST(ThreadedEngineEquivalenceTest, ExactMatchSetVsSynchronousCluster) {
   for (const auto& t : input) sync_cluster.Process(t, &sync_matches);
 
   Cluster threaded_cluster(plan, &w.vocab);
+  testutil::CollectingSink sink;
   EngineOptions opts;
   opts.num_dispatchers = 3;
-  opts.collect_matches = true;
+  opts.delivery = &sink;
   ThreadedEngine engine(threaded_cluster, opts);
   const RunReport report = engine.Run(input);
 
   EXPECT_EQ(report.matches_delivered, sync_matches.size());
-  EXPECT_EQ(testutil::Sorted(engine.TakeMatches()),
-            testutil::Sorted(sync_matches));
+  EXPECT_EQ(testutil::Sorted(sink.Take()), testutil::Sorted(sync_matches));
   // Per-thread dispatcher stats aggregate to the stream totals.
   EXPECT_EQ(report.dispatch.inserts_routed, w.sample.inserts.size());
   EXPECT_EQ(report.dispatch.objects_routed + report.dispatch.objects_discarded,
@@ -102,7 +102,7 @@ TEST(EngineInterfaceTest, PolymorphicRun) {
 // The acceptance test of the online controller: a cluster whose plan pins
 // everything to worker 0 must rebalance through live migrations mid-run,
 // and the delivered match set must still be exactly the reference set — no
-// delivery lost to a routing swap, no duplicate surviving the merger.
+// delivery lost to a routing swap, no duplicate surviving the dedup window.
 TEST(ThreadedEngineLiveMigrationTest, RebalancesWithoutLosingDeliveries) {
   auto w = testutil::MakeWorkload(911, 2000, 400);
   const PartitionPlan plan = SkewedPlan(w.sample.Bounds(), 4, 4);
@@ -127,9 +127,10 @@ TEST(ThreadedEngineLiveMigrationTest, RebalancesWithoutLosingDeliveries) {
   }
 
   Cluster cluster(plan, &w.vocab);
+  testutil::CollectingSink sink;
   EngineOptions opts;
   opts.num_dispatchers = 2;
-  opts.collect_matches = true;
+  opts.delivery = &sink;
   // Pace the stream so the run spans many controller intervals.
   opts.input_rate_tps = 25000.0;
   opts.controller.enabled = true;
@@ -154,8 +155,7 @@ TEST(ThreadedEngineLiveMigrationTest, RebalancesWithoutLosingDeliveries) {
   EXPECT_GT(off_worker0, 0u);
 
   // No lost or duplicated deliveries versus the synchronous reference.
-  EXPECT_EQ(testutil::Sorted(engine.TakeMatches()),
-            testutil::Sorted(expected));
+  EXPECT_EQ(testutil::Sorted(sink.Take()), testutil::Sorted(expected));
 }
 
 // The async facade: subscriptions and publications submitted while the
