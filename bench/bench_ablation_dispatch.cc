@@ -64,7 +64,7 @@ void BM_RouteQueryGridt(benchmark::State& state) {
   size_t i = 0;
   const auto& qs = f.env.stream.sample.inserts;
   for (auto _ : state) {
-    f.plan.RouteQuery(qs[i++ % qs.size()], *f.env.vocab, &out);
+    f.plan.RouteQuery(qs[i++ % qs.size()], &out);
     benchmark::DoNotOptimize(out);
   }
 }
@@ -76,7 +76,7 @@ void BM_RouteQueryKdtTree(benchmark::State& state) {
   size_t i = 0;
   const auto& qs = f.env.stream.sample.inserts;
   for (auto _ : state) {
-    f.tree->RouteQuery(qs[i++ % qs.size()], *f.env.vocab, &out);
+    f.tree->RouteQuery(qs[i++ % qs.size()], &out);
     benchmark::DoNotOptimize(out);
   }
 }

@@ -27,7 +27,7 @@ int main() {
       cfg.use_number_partitions_dp = use_dp;
       const PartitionPlan plan = hybrid.Build(sample, *env.vocab, cfg);
       const auto report =
-          EstimatePlanLoad(plan, sample, *env.vocab, cfg.cost);
+          EstimatePlanLoad(plan, sample, cfg.cost);
       PrintCell(use_dp ? "DP (paper)" : "equal split");
       PrintCell(report.total_load, "%.0f");
       PrintCell(report.balance, "%.2f");
@@ -43,7 +43,7 @@ int main() {
       cfg.delta = delta;
       const PartitionPlan plan = hybrid.Build(sample, *env.vocab, cfg);
       const auto report =
-          EstimatePlanLoad(plan, sample, *env.vocab, cfg.cost);
+          EstimatePlanLoad(plan, sample, cfg.cost);
       PrintCell(delta, "%.2f");
       PrintCell(report.total_load, "%.0f");
       PrintCell(static_cast<double>(plan.NumTextCells()), "%.0f");
@@ -60,7 +60,7 @@ int main() {
       cfg.sigma = sigma;
       const PartitionPlan plan = hybrid.Build(sample, *env.vocab, cfg);
       const auto report =
-          EstimatePlanLoad(plan, sample, *env.vocab, cfg.cost);
+          EstimatePlanLoad(plan, sample, cfg.cost);
       PrintCell(sigma, "%.1f");
       PrintCell(report.total_load, "%.0f");
       PrintCell(report.balance, "%.2f");

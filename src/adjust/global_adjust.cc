@@ -79,11 +79,11 @@ RepartitionDecision EvaluateRepartition(const PartitionPlan& current,
                                         double improvement_threshold) {
   RepartitionDecision decision;
   decision.current_load =
-      EstimatePlanLoad(current, sample, vocab, config.cost).total_load;
+      EstimatePlanLoad(current, sample, config.cost).total_load;
   HybridPartitioner hybrid;
   decision.candidate = hybrid.Build(sample, vocab, config);
   decision.candidate_load =
-      EstimatePlanLoad(decision.candidate, sample, vocab, config.cost)
+      EstimatePlanLoad(decision.candidate, sample, config.cost)
           .total_load;
   decision.repartition =
       decision.candidate_load <

@@ -39,7 +39,7 @@ bool LocalLoadAdjuster::TryTextSplit(Cluster& cluster,
   for (const auto& q : window.inserts) {
     if (!q.region.Intersects(cell_rect)) continue;
     ++cell_queries;
-    for (const TermId t : q.expr.RoutingTerms(cluster.vocab())) qi[t]++;
+    for (const TermId t : q.expr.RoutingTerms()) qi[t]++;
   }
   if (cell_objects == 0 || cell_queries == 0) return false;
 
@@ -81,7 +81,7 @@ bool LocalLoadAdjuster::TryTextSplit(Cluster& cluster,
   for (const auto& q : window.inserts) {
     if (!q.region.Intersects(cell_rect)) continue;
     bool in0 = false, in1 = false;
-    for (const TermId t : q.expr.RoutingTerms(cluster.vocab())) {
+    for (const TermId t : q.expr.RoutingTerms()) {
       auto it = half_of_term.find(t);
       if (it == half_of_term.end()) continue;
       (it->second == 0 ? in0 : in1) = true;
@@ -112,7 +112,7 @@ bool LocalLoadAdjuster::TryMerge(Cluster& cluster, CellId cell, WorkerId wo,
                                  AdjustReport* report) {
   const CellRoute& route = cluster.router().plan().cells[cell];
   if (!route.IsText()) return false;
-  const auto& workers = route.text->workers();
+  const std::vector<WorkerId> workers = route.text->DistinctWorkers();
   if (std::find(workers.begin(), workers.end(), wl) == workers.end()) {
     return false;  // wl holds no share of this cell's space region
   }

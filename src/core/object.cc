@@ -4,17 +4,6 @@
 
 namespace ps2 {
 
-SpatioTextualObject SpatioTextualObject::FromText(ObjectId id, Point loc,
-                                                  const std::string& text,
-                                                  Vocabulary& vocab,
-                                                  const Tokenizer& tokenizer) {
-  std::vector<TermId> terms;
-  for (const auto& tok : tokenizer.Tokenize(text)) {
-    terms.push_back(vocab.Intern(tok));
-  }
-  return FromTerms(id, loc, std::move(terms));
-}
-
 SpatioTextualObject SpatioTextualObject::FromTerms(ObjectId id, Point loc,
                                                    std::vector<TermId> terms) {
   std::sort(terms.begin(), terms.end());

@@ -2,11 +2,9 @@
 #define PS2_CORE_OBJECT_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/geo.h"
-#include "text/tokenizer.h"
 #include "text/vocabulary.h"
 
 namespace ps2 {
@@ -30,13 +28,6 @@ struct SpatioTextualObject {
   // timestamp_us + ttl_us. 0 means the object never expires. Expiry is
   // event-time, not wall-clock, so replays behave identically.
   int64_t ttl_us = 0;
-
-  // Builds an object from raw text, tokenizing against `vocab` (interning
-  // new terms). Does not update vocabulary counts.
-  static SpatioTextualObject FromText(ObjectId id, Point loc,
-                                      const std::string& text,
-                                      Vocabulary& vocab,
-                                      const Tokenizer& tokenizer = Tokenizer());
 
   // Builds from already-known term ids (normalizes ordering).
   static SpatioTextualObject FromTerms(ObjectId id, Point loc,

@@ -10,14 +10,13 @@ Rect WorkloadSample::Bounds() const {
   return b;
 }
 
-TermStats TermStats::Compute(const WorkloadSample& sample,
-                             const Vocabulary& vocab) {
+TermStats TermStats::Compute(const WorkloadSample& sample) {
   TermStats stats;
   for (const auto& o : sample.objects) {
     for (const TermId t : o.terms) stats.object_freq[t]++;
   }
   for (const auto& q : sample.inserts) {
-    for (const TermId t : q.expr.RoutingTerms(vocab)) {
+    for (const TermId t : q.expr.RoutingTerms()) {
       stats.query_routing_freq[t]++;
     }
   }

@@ -38,15 +38,14 @@ struct TermStats {
   // All terms observed in either map.
   std::vector<TermId> terms;
 
-  static TermStats Compute(const WorkloadSample& sample,
-                           const Vocabulary& vocab);
+  static TermStats Compute(const WorkloadSample& sample);
 
   uint64_t ObjectFreq(TermId t) const;
   uint64_t QueryRoutingFreq(TermId t) const;
 };
 
 // Populates vocabulary counts from the objects of a sample (the frequency
-// profile dispatchers key "least frequent keyword" decisions on).
+// profile admission keys "least frequent keyword" decisions on).
 void AccumulateVocabularyCounts(const WorkloadSample& sample,
                                 Vocabulary& vocab);
 

@@ -4,9 +4,6 @@
 
 namespace ps2 {
 
-GridtIndex::GridtIndex(PartitionPlan plan, const Vocabulary* vocab)
-    : plan_(std::move(plan)), vocab_(vocab) {}
-
 void GridtIndex::AddH2(CellId cell, TermId term, WorkerId worker) {
   auto& list = h2_[cell].entries[term];
   for (auto& [w, count] : list) {
@@ -41,14 +38,13 @@ std::vector<PartitionPlan::QueryRoute> GridtIndex::RouteInsert(
   std::vector<PartitionPlan::QueryRoute> routes;
   // RouteQuery leaves q.region's overlapping cells in the scratch; the H2
   // maintenance below walks the same list instead of recomputing it.
-  plan_.RouteQuery(q, *vocab_, &routes, &route_cells_scratch_);
+  plan_.RouteQuery(q, &routes, &route_cells_scratch_);
   // H2 is maintained only for text-routed cells (space-routed cells in the
   // paper's gridt carry a bare worker id — Figure 4).
-  const std::vector<TermId> terms = q.expr.RoutingTerms(*vocab_);
   for (const CellId cell : route_cells_scratch_) {
     const CellRoute& route = plan_.cells[cell];
     if (!route.IsText()) continue;
-    for (const TermId t : terms) {
+    for (const TermId t : q.expr.RoutingTerms()) {
       AddH2(cell, t, route.text->Route(t));
     }
   }
@@ -58,12 +54,11 @@ std::vector<PartitionPlan::QueryRoute> GridtIndex::RouteInsert(
 std::vector<PartitionPlan::QueryRoute> GridtIndex::RouteDelete(
     const STSQuery& q) {
   std::vector<PartitionPlan::QueryRoute> routes;
-  plan_.RouteQuery(q, *vocab_, &routes, &route_cells_scratch_);
-  const std::vector<TermId> terms = q.expr.RoutingTerms(*vocab_);
+  plan_.RouteQuery(q, &routes, &route_cells_scratch_);
   for (const CellId cell : route_cells_scratch_) {
     const CellRoute& route = plan_.cells[cell];
     if (!route.IsText()) continue;
-    for (const TermId t : terms) {
+    for (const TermId t : q.expr.RoutingTerms()) {
       RemoveH2(cell, t, route.text->Route(t));
     }
   }
@@ -139,11 +134,7 @@ void GridtIndex::RemapCellWorker(CellId cell, WorkerId from, WorkerId to) {
     if (w == from) w = to;
   }
   std::vector<WorkerId> workers = route.text->workers();
-  for (auto& w : workers) {
-    if (w == from) w = to;
-  }
-  std::sort(workers.begin(), workers.end());
-  workers.erase(std::unique(workers.begin(), workers.end()), workers.end());
+  std::replace(workers.begin(), workers.end(), from, to);
   route.text =
       std::make_shared<const TermRouter>(std::move(map), std::move(workers));
   auto cit = h2_.find(cell);

@@ -22,9 +22,13 @@ namespace ps2 {
 // update H2 with reference counts (a term key may be used by many queries).
 class GridtIndex {
  public:
-  // `plan` is the compiled output of a partitioner; `vocab` provides term
-  // frequencies for routing-key selection and must outlive the index.
-  GridtIndex(PartitionPlan plan, const Vocabulary* vocab);
+  // `plan` is the compiled output of a partitioner. Queries carry their
+  // routing clause (BoolExpr::ChooseRouting at admission), so the index
+  // needs no vocabulary; the two-argument form ignores its pointer and
+  // exists for source compatibility.
+  explicit GridtIndex(PartitionPlan plan) : plan_(std::move(plan)) {}
+  GridtIndex(PartitionPlan plan, const Vocabulary* /*unused*/)
+      : GridtIndex(std::move(plan)) {}
 
   // Routes a query insertion: returns the (worker, cells) destinations and
   // registers the query's routing keys in H2.
@@ -64,7 +68,9 @@ class GridtIndex {
 
   // In a text-routed cell, remaps every term currently owned by `from`
   // (both H1 and H2) to `to`. Used when migrating a worker's share of a
-  // text cell.
+  // text cell. `from` is replaced by `to` in place in the router's worker
+  // list, which is also the hash-fallback table: terms routed by the
+  // fallback keep their position, so only `from`'s share changes worker.
   void RemapCellWorker(CellId cell, WorkerId from, WorkerId to);
 
   // Live H2 worker set of (cell, term) — exposed for tests.
@@ -95,7 +101,6 @@ class GridtIndex {
   };
 
   PartitionPlan plan_;
-  const Vocabulary* vocab_;
   std::unordered_map<CellId, H2Cell> h2_;
   // Reused overlap scratch: filled by RouteQuery during RouteInsert /
   // RouteDelete and walked again by their H2 maintenance loops. Callers

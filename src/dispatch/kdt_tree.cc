@@ -94,7 +94,7 @@ void KdtTree::CollectLeaves(const TreeNode* node, uint32_t cx0, uint32_t cy0,
   CollectLeaves(node->right.get(), cx0, cy0, cx1, cy1, out);
 }
 
-void KdtTree::RouteQuery(const STSQuery& q, const Vocabulary& vocab,
+void KdtTree::RouteQuery(const STSQuery& q,
                          std::vector<PartitionPlan::QueryRoute>* out) const {
   out->clear();
   const GridSpec& grid = plan_->grid;
@@ -103,8 +103,6 @@ void KdtTree::RouteQuery(const STSQuery& q, const Vocabulary& vocab,
   std::vector<const TreeNode*> leaves;
   CollectLeaves(root_.get(), cx0, cy0, cx1, cy1, &leaves);
   std::unordered_map<WorkerId, std::vector<CellId>> per_worker;
-  std::vector<TermId> routing_terms;
-  bool have_terms = false;
   for (const TreeNode* leaf : leaves) {
     // Cells of the leaf clipped to the query's cell range.
     const uint32_t lx0 = std::max(cx0, leaf->cx0);
@@ -115,11 +113,7 @@ void KdtTree::RouteQuery(const STSQuery& q, const Vocabulary& vocab,
     if (!leaf->route.IsText()) {
       targets.push_back(leaf->route.worker);
     } else {
-      if (!have_terms) {
-        routing_terms = q.expr.RoutingTerms(vocab);
-        have_terms = true;
-      }
-      for (const TermId t : routing_terms) {
+      for (const TermId t : q.expr.RoutingTerms()) {
         targets.push_back(leaf->route.text->Route(t));
       }
       std::sort(targets.begin(), targets.end());

@@ -29,7 +29,7 @@ class KdtTree {
                    std::vector<WorkerId>* out) const;
 
   // Workers + cells a query is sent to (same contract as PartitionPlan).
-  void RouteQuery(const STSQuery& q, const Vocabulary& vocab,
+  void RouteQuery(const STSQuery& q,
                   std::vector<PartitionPlan::QueryRoute>* out) const;
 
   size_t NumLeaves() const { return num_leaves_; }

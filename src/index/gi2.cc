@@ -4,9 +4,8 @@
 
 namespace ps2 {
 
-Gi2Index::Gi2Index(const GridSpec& grid, const Vocabulary* vocab,
-                   const Options& options)
-    : grid_(grid), vocab_(vocab), options_(options) {
+Gi2Index::Gi2Index(const GridSpec& grid, const Options& options)
+    : grid_(grid), options_(options) {
   cell_dir_.assign(grid_.NumCells(), kNone);
 }
 
@@ -100,7 +99,7 @@ void Gi2Index::InsertIntoCells(const STSQuery& q,
   } else {
     slot = *existing;
   }
-  const std::vector<TermId> routing_terms = q.expr.RoutingTerms(*vocab_);
+  const std::vector<TermId>& routing_terms = q.expr.RoutingTerms();
   // The dispatcher is the routing authority; cells are indexed as given.
   // In particular, geometry outside the grid extent clamps to border cells
   // on both the query and the object path, so the pair still rendezvous.
@@ -145,18 +144,18 @@ void Gi2Index::Delete(QueryId id) {
     ++num_tombstones_;
     return;
   }
-  // Eager deletion: scrub this query's postings from its own cells. Routing
-  // terms are not re-derived (vocabulary frequencies may have drifted since
-  // insertion), so every list of the cell is swept for the slot.
+  // Eager deletion: scrub this query's postings from the lists of its own
+  // routing terms in its own cells. The query carries the routing clause it
+  // was indexed under, so these are exactly the lists holding the slot.
   for (const CellId cell_id : qs.cells) {
     Cell* cell = FindCell(cell_id);
     if (cell == nullptr) continue;
-    std::vector<TermId> dead_terms;
-    cell->postings.ForEach([&](TermId t, PostingArena::List& list) {
-      arena_.RemoveMatching(list, [slot](uint32_t s) { return s == slot; });
-      if (list.head == PostingArena::kNull) dead_terms.push_back(t);
-    });
-    for (const TermId t : dead_terms) cell->postings.Erase(t);
+    for (const TermId t : qs.query.expr.RoutingTerms()) {
+      PostingArena::List* list = cell->postings.Find(t);
+      if (list == nullptr) continue;
+      arena_.RemoveMatching(*list, [slot](uint32_t s) { return s == slot; });
+      if (list->head == PostingArena::kNull) cell->postings.Erase(t);
+    }
   }
   FreeSlot(slot);
 }

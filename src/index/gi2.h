@@ -18,7 +18,9 @@ namespace ps2 {
 // query postings. For AND-only queries the routing term is the least
 // frequent keyword; for CNF queries with OR clauses we index under every
 // term of the cheapest clause (see BoolExpr::RoutingTerms for why this is
-// the completeness-preserving reading of the paper).
+// the completeness-preserving reading of the paper). The clause is chosen
+// once, at admission, and carried by the query, so the index reads no
+// vocabulary.
 //
 // Layout (the worker hot path is allocation-free in steady state):
 //   * Queries live in a slot-indexed dense vector; a flat QueryId -> slot
@@ -49,12 +51,14 @@ class Gi2Index {
     bool lazy_deletion = true;
   };
 
-  // `vocab` supplies term frequencies for routing-term selection and must
-  // outlive the index.
-  Gi2Index(const GridSpec& grid, const Vocabulary* vocab)
-      : Gi2Index(grid, vocab, Options{}) {}
-  Gi2Index(const GridSpec& grid, const Vocabulary* vocab,
-           const Options& options);
+  explicit Gi2Index(const GridSpec& grid) : Gi2Index(grid, Options{}) {}
+  Gi2Index(const GridSpec& grid, const Options& options);
+  // Source-compatible forms: the vocabulary pointer is ignored.
+  Gi2Index(const GridSpec& grid, const Vocabulary* /*unused*/)
+      : Gi2Index(grid, Options{}) {}
+  Gi2Index(const GridSpec& grid, const Vocabulary* /*unused*/,
+           const Options& options)
+      : Gi2Index(grid, options) {}
 
   // Indexes `q` in every grid cell overlapping q.region.
   void Insert(const STSQuery& q);
@@ -169,7 +173,6 @@ class Gi2Index {
   std::vector<uint32_t> LiveSlotsInCell(const Cell& cell) const;
 
   GridSpec grid_;
-  const Vocabulary* vocab_;
   Options options_;
 
   PostingArena arena_;

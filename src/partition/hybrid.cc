@@ -42,26 +42,15 @@ struct Node {
 // All per-build state, so HybridPartitioner::Build stays re-entrant.
 struct Builder {
   const WorkloadSample& sample;
-  const Vocabulary& vocab;
   const PartitionConfig& cfg;
   GridSpec grid;
-  // Precomputed per-insert/delete routing terms and overlapped cell ranges.
-  std::vector<std::vector<TermId>> ins_routing, del_routing;
+  // Precomputed object cells.
   std::vector<CellId> obj_cell;
 
-  Builder(const WorkloadSample& s, const Vocabulary& v,
-          const PartitionConfig& c)
-      : sample(s), vocab(v), cfg(c), grid(s.Bounds(), c.grid_k) {
+  Builder(const WorkloadSample& s, const PartitionConfig& c)
+      : sample(s), cfg(c), grid(s.Bounds(), c.grid_k) {
     obj_cell.reserve(sample.objects.size());
     for (const auto& o : sample.objects) obj_cell.push_back(grid.CellOf(o.loc));
-    ins_routing.reserve(sample.inserts.size());
-    for (const auto& q : sample.inserts) {
-      ins_routing.push_back(q.expr.RoutingTerms(vocab));
-    }
-    del_routing.reserve(sample.deletes.size());
-    for (const auto& q : sample.deletes) {
-      del_routing.push_back(q.expr.RoutingTerms(vocab));
-    }
   }
 
   bool CellInBlock(CellId c, const CellBlock& b) const {
@@ -160,10 +149,14 @@ struct Builder {
       }
     }
     for (const uint32_t i : parent.ins) {
-      if (child.AcceptsAnyTerm(ins_routing[i])) child.ins.push_back(i);
+      if (child.AcceptsAnyTerm(sample.inserts[i].expr.RoutingTerms())) {
+        child.ins.push_back(i);
+      }
     }
     for (const uint32_t i : parent.dels) {
-      if (child.AcceptsAnyTerm(del_routing[i])) child.dels.push_back(i);
+      if (child.AcceptsAnyTerm(sample.deletes[i].expr.RoutingTerms())) {
+        child.dels.push_back(i);
+      }
     }
     child.load = NodeLoad(child);
     return child;
@@ -233,12 +226,12 @@ struct Builder {
       }
     }
     for (const uint32_t i : n.ins) {
-      for (const TermId t : ins_routing[i]) {
+      for (const TermId t : sample.inserts[i].expr.RoutingTerms()) {
         if (!n.text_restricted || n.HasTerm(t)) qi[t]++;
       }
     }
     for (const uint32_t i : n.dels) {
-      for (const TermId t : del_routing[i]) {
+      for (const TermId t : sample.deletes[i].expr.RoutingTerms()) {
         if (!n.text_restricted || n.HasTerm(t)) qd[t]++;
       }
     }
@@ -378,10 +371,10 @@ double PartitionBalance(const std::vector<Node>& leaves,
 }  // namespace
 
 PartitionPlan HybridPartitioner::Build(const WorkloadSample& sample,
-                                       const Vocabulary& vocab,
+                                       const Vocabulary& /*vocab*/,
                                        const PartitionConfig& cfg) const {
   info_ = BuildInfo{};
-  Builder b(sample, vocab, cfg);
+  Builder b(sample, cfg);
   const int m = cfg.num_workers;
 
   PartitionPlan plan;
@@ -576,8 +569,7 @@ PartitionPlan HybridPartitioner::Build(const WorkloadSample& sample,
     }
   }
 
-  const PlanLoadReport report =
-      EstimatePlanLoad(plan, sample, vocab, cfg.cost);
+  const PlanLoadReport report = EstimatePlanLoad(plan, sample, cfg.cost);
   info_.estimated_total_load = report.total_load;
   info_.estimated_balance = report.balance;
   return plan;

@@ -32,17 +32,16 @@ double CellLoadProfile::CellLoad(const CostModel& cm, CellId cell) const {
   return WorkerLoad(cm, t);
 }
 
-TermLoadProfile TermLoadProfile::Compute(const WorkloadSample& sample,
-                                         const Vocabulary& vocab) {
+TermLoadProfile TermLoadProfile::Compute(const WorkloadSample& sample) {
   TermLoadProfile p;
   for (const auto& o : sample.objects) {
     for (const TermId t : o.terms) p.object_freq[t]++;
   }
   for (const auto& q : sample.inserts) {
-    for (const TermId t : q.expr.RoutingTerms(vocab)) p.insert_freq[t]++;
+    for (const TermId t : q.expr.RoutingTerms()) p.insert_freq[t]++;
   }
   for (const auto& q : sample.deletes) {
-    for (const TermId t : q.expr.RoutingTerms(vocab)) p.delete_freq[t]++;
+    for (const TermId t : q.expr.RoutingTerms()) p.delete_freq[t]++;
   }
   for (const auto& [t, _] : p.object_freq) p.terms.push_back(t);
   for (const auto& [t, _] : p.insert_freq) {

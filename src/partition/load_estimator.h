@@ -35,15 +35,14 @@ struct CellLoadProfile {
 
 // Per-term workload statistics shared by the text partitioners: for every
 // term, how many objects contain it and how many insert/delete requests
-// route by it (cheapest-clause routing).
+// route by it (the routing clause each query carries).
 struct TermLoadProfile {
   std::unordered_map<TermId, uint32_t> object_freq;
   std::unordered_map<TermId, uint32_t> insert_freq;
   std::unordered_map<TermId, uint32_t> delete_freq;
   std::vector<TermId> terms;  // all terms present in any map
 
-  static TermLoadProfile Compute(const WorkloadSample& sample,
-                                 const Vocabulary& vocab);
+  static TermLoadProfile Compute(const WorkloadSample& sample);
 
   uint32_t Of(TermId t) const;  // object frequency
   uint32_t Qi(TermId t) const;  // insert routing frequency

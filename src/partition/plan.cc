@@ -26,6 +26,13 @@ WorkerId TermRouter::Route(TermId t) const {
   return workers_[h % workers_.size()];
 }
 
+std::vector<WorkerId> TermRouter::DistinctWorkers() const {
+  std::vector<WorkerId> out = workers_;
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
 size_t TermRouter::MemoryBytes() const {
   return map_.size() * (sizeof(TermId) + sizeof(WorkerId) + 16) +
          workers_.capacity() * sizeof(WorkerId) + sizeof(TermRouter);
@@ -46,7 +53,7 @@ void PartitionPlan::RouteObject(const SpatioTextualObject& o,
   out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
-void PartitionPlan::RouteQuery(const STSQuery& q, const Vocabulary& vocab,
+void PartitionPlan::RouteQuery(const STSQuery& q,
                                std::vector<QueryRoute>* out,
                                std::vector<CellId>* overlap_scratch) const {
   out->clear();
@@ -55,19 +62,13 @@ void PartitionPlan::RouteQuery(const STSQuery& q, const Vocabulary& vocab,
       overlap_scratch != nullptr ? *overlap_scratch : local_overlap;
   grid.CellsOverlapping(q.region, &overlap);
   std::unordered_map<WorkerId, std::vector<CellId>> per_worker;
-  std::vector<TermId> routing_terms;  // computed lazily, once
-  bool have_terms = false;
   for (const CellId cell : overlap) {
     const CellRoute& route = cells[cell];
     if (!route.IsText()) {
       per_worker[route.worker].push_back(cell);
       continue;
     }
-    if (!have_terms) {
-      routing_terms = q.expr.RoutingTerms(vocab);
-      have_terms = true;
-    }
-    for (const TermId t : routing_terms) {
+    for (const TermId t : q.expr.RoutingTerms()) {
       per_worker[route.text->Route(t)].push_back(cell);
     }
   }
@@ -106,7 +107,7 @@ size_t PartitionPlan::NumTextCells() const {
 
 PlanLoadReport EstimatePlanLoad(const PartitionPlan& plan,
                                 const WorkloadSample& sample,
-                                const Vocabulary& vocab, const CostModel& cm) {
+                                const CostModel& cm) {
   PlanLoadReport report;
   report.tallies.assign(plan.num_workers, WorkerLoadTally{});
   std::vector<WorkerId> object_workers;
@@ -116,11 +117,11 @@ PlanLoadReport EstimatePlanLoad(const PartitionPlan& plan,
   }
   std::vector<PartitionPlan::QueryRoute> routes;
   for (const auto& q : sample.inserts) {
-    plan.RouteQuery(q, vocab, &routes);
+    plan.RouteQuery(q, &routes);
     for (const auto& r : routes) report.tallies[r.worker].inserts++;
   }
   for (const auto& q : sample.deletes) {
-    plan.RouteQuery(q, vocab, &routes);
+    plan.RouteQuery(q, &routes);
     for (const auto& r : routes) report.tallies[r.worker].deletes++;
   }
   report.loads.reserve(plan.num_workers);

@@ -28,8 +28,13 @@ class TermRouter {
 
   WorkerId Route(TermId t) const;
 
-  // The workers this router can return (the region's worker set).
+  // The hash-fallback table: every worker this router can return, in the
+  // positions Route() hashes into. A worker appears twice after
+  // GridtIndex::RemapCellWorker moves a share onto another participant.
   const std::vector<WorkerId>& workers() const { return workers_; }
+
+  // The region's worker set: workers(), sorted and deduplicated.
+  std::vector<WorkerId> DistinctWorkers() const;
 
   // The explicit term assignments (H1 content of the region).
   const std::unordered_map<TermId, WorkerId>& term_map() const { return map_; }
@@ -69,8 +74,8 @@ struct PartitionPlan {
 
   // Workers a query insert/delete must be sent to, along with the cells the
   // query should be indexed in *at that worker*. Text-routed cells route by
-  // the query's routing terms (cheapest clause; the paper's "least frequent
-  // keyword" generalized to CNF).
+  // the query's routing terms (the clause chosen at admission; the paper's
+  // "least frequent keyword" generalized to CNF).
   struct QueryRoute {
     WorkerId worker = 0;
     std::vector<CellId> cells;
@@ -79,8 +84,7 @@ struct PartitionPlan {
   // holds q.region's overlapping cells on return — callers that need the
   // overlap anyway (H2 maintenance) reuse it instead of recomputing, and
   // repeated routing stops reallocating the list.
-  void RouteQuery(const STSQuery& q, const Vocabulary& vocab,
-                  std::vector<QueryRoute>* out,
+  void RouteQuery(const STSQuery& q, std::vector<QueryRoute>* out,
                   std::vector<CellId>* overlap_scratch = nullptr) const;
 
   // Approximate dispatcher-side footprint of the routing structure.
@@ -102,7 +106,7 @@ struct PlanLoadReport {
 
 PlanLoadReport EstimatePlanLoad(const PartitionPlan& plan,
                                 const WorkloadSample& sample,
-                                const Vocabulary& vocab, const CostModel& cm);
+                                const CostModel& cm);
 
 // Shared knobs for all partitioners.
 struct PartitionConfig {

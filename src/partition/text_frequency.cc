@@ -6,10 +6,10 @@
 namespace ps2 {
 
 PartitionPlan FrequencyTextPartitioner::Build(
-    const WorkloadSample& sample, const Vocabulary& vocab,
+    const WorkloadSample& sample, const Vocabulary& /*vocab*/,
     const PartitionConfig& config) const {
   const GridSpec grid(sample.Bounds(), config.grid_k);
-  const TermLoadProfile profile = TermLoadProfile::Compute(sample, vocab);
+  const TermLoadProfile profile = TermLoadProfile::Compute(sample);
 
   std::vector<double> weights;
   weights.reserve(profile.terms.size());

@@ -9,10 +9,10 @@
 namespace ps2 {
 
 PartitionPlan HypergraphTextPartitioner::Build(
-    const WorkloadSample& sample, const Vocabulary& vocab,
+    const WorkloadSample& sample, const Vocabulary& /*vocab*/,
     const PartitionConfig& config) const {
   const GridSpec grid(sample.Bounds(), config.grid_k);
-  const TermLoadProfile profile = TermLoadProfile::Compute(sample, vocab);
+  const TermLoadProfile profile = TermLoadProfile::Compute(sample);
   const int m = config.num_workers;
 
   // Co-occurrence adjacency from object hyperedges.

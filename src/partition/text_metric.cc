@@ -9,10 +9,10 @@
 namespace ps2 {
 
 PartitionPlan MetricTextPartitioner::Build(const WorkloadSample& sample,
-                                           const Vocabulary& vocab,
+                                           const Vocabulary& /*vocab*/,
                                            const PartitionConfig& config) const {
   const GridSpec grid(sample.Bounds(), config.grid_k);
-  const TermLoadProfile profile = TermLoadProfile::Compute(sample, vocab);
+  const TermLoadProfile profile = TermLoadProfile::Compute(sample);
   const int m = config.num_workers;
 
   std::unordered_map<TermId, std::unordered_map<TermId, uint32_t>> cooc;

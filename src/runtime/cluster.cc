@@ -7,12 +7,12 @@ namespace ps2 {
 Cluster::Cluster(PartitionPlan plan, const Vocabulary* vocab,
                  ClusterOptions options)
     : vocab_(vocab),
-      index_(std::move(plan), vocab),
+      index_(std::move(plan)),
       dispatcher_(&index_) {
   const int m = index_.plan().num_workers;
   workers_.reserve(m);
   for (int i = 0; i < m; ++i) {
-    workers_.emplace_back(index_.plan().grid, vocab, options.worker_index);
+    workers_.emplace_back(index_.plan().grid, options.worker_index);
   }
   tallies_.assign(m, WorkerLoadTally{});
 }
@@ -105,7 +105,7 @@ Cluster::MigrationStats Cluster::TextSplitCell(
   const std::vector<CellId> cells{cell};
   for (const auto& q : queries) {
     bool to_keep = false, to_other = false;
-    for (const TermId t : q.expr.RoutingTerms(*vocab_)) {
+    for (const TermId t : q.expr.RoutingTerms()) {
       (router.Route(t) == keep ? to_keep : to_other) = true;
       // The cell just became text-routed: its H2 entries must be rebuilt
       // from the redistributed queries so objects keep reaching them.
@@ -126,7 +126,7 @@ Cluster::MigrationStats Cluster::MergeCellTo(CellId cell, WorkerId to) {
   const CellRoute& route = index_.plan().cells[cell];
   std::vector<WorkerId> sources;
   if (route.IsText()) {
-    sources = route.text->workers();
+    sources = route.text->DistinctWorkers();
   } else {
     sources.push_back(route.worker);
   }

@@ -324,24 +324,19 @@ Status PS2Stream::Post(const std::string& tenant, Point loc,
   // Rate-limit before the object is built: a rejected publish must not
   // consume an object id or touch the vocabulary frequency profile.
   if (const Status st = AdmitPublish(tenant); !st.ok()) return st;
-  SpatioTextualObject o;
-  if (started()) {
-    // Routing threads read the vocabulary lock-free while the data plane
-    // runs, so a live Post must not grow or recount it: tokens the
-    // vocabulary has never seen are dropped (a TermId that exists nowhere
-    // cannot appear in any subscription expression, so no match outcome
-    // changes) and the frequency profile stays frozen at its pre-Start
-    // state.
-    std::vector<TermId> ids;
-    for (const auto& tok : tokenizer_.Tokenize(text)) {
-      const TermId t = vocab_.Lookup(tok);
-      if (t != kInvalidTerm) ids.push_back(t);
-    }
-    o = SpatioTextualObject::FromTerms(next_object_id_++, loc,
-                                       std::move(ids));
-  } else {
-    o = SpatioTextualObject::FromText(next_object_id_++, loc, text, vocab_,
-                                      tokenizer_);
+  // Tokens the vocabulary has never seen are dropped in every mode: no
+  // subscription can name them, and keeping them would only change the
+  // object's similarity norm. A stopped service counts the known terms into
+  // the frequency profile; a started one leaves it frozen, because the load
+  // controller reads it while the data plane runs.
+  std::vector<TermId> ids;
+  for (const auto& tok : tokenizer_.Tokenize(text)) {
+    const TermId t = vocab_.Lookup(tok);
+    if (t != kInvalidTerm) ids.push_back(t);
+  }
+  SpatioTextualObject o =
+      SpatioTextualObject::FromTerms(next_object_id_++, loc, std::move(ids));
+  if (!started()) {
     for (const TermId t : o.terms) vocab_.AddCount(t);
   }
   return PostInternal(o);
@@ -399,7 +394,11 @@ StatusOr<Subscription> PS2Stream::ApplySubscribe(const STSQuery& query,
   if (query.cls == SubscriptionClass::kTopK) {
     topk_.Register(query.id, query.k);
   }
-  subscriptions_[query.id] = query;
+  // The routing clause is chosen here, once, before the registry, the WAL
+  // or a fabric frame sees the query; dispatchers, indexes, migrations and
+  // recovery all read the clause the query carries.
+  STSQuery& admitted = subscriptions_[query.id] = query;
+  admitted.expr.ChooseRouting(vocab_);
   next_query_id_ = std::max(next_query_id_, query.id + 1);
   // Route deliveries before any engine can index the query: a match can only
   // be produced after the insert is applied, so the session never misses
@@ -408,8 +407,8 @@ StatusOr<Subscription> PS2Stream::ApplySubscribe(const STSQuery& query,
   // WAL-before-apply happens inside (per shard in fabric mode). A
   // quarantined owner shard bounces the whole subscription (the fabric
   // rolled its side back already).
-  const Status st = fabric_ != nullptr ? fabric_->Subscribe(query)
-                                       : host_->Subscribe(query);
+  const Status st = fabric_ != nullptr ? fabric_->Subscribe(admitted)
+                                       : host_->Subscribe(admitted);
   if (!st.ok()) {
     subscriptions_.erase(query.id);
     delivery_->Unroute(query.id);

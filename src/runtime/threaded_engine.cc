@@ -172,7 +172,7 @@ class ThreadedEngine::LiveMigrationExecutor : public MigrationExecutor {
     const std::vector<CellId> cells{cell};
     for (const auto& q : queries) {
       bool to_other = false;
-      for (const TermId t : q.expr.RoutingTerms(c.vocab())) {
+      for (const TermId t : q.expr.RoutingTerms()) {
         index.AddH2(cell, t, router->Route(t));
         if (router->Route(t) != keep) to_other = true;
       }
@@ -182,14 +182,13 @@ class ThreadedEngine::LiveMigrationExecutor : public MigrationExecutor {
         stats.bytes += q.MemoryBytes();
       }
     }
-    const Vocabulary* vocab = &c.vocab();
     removals_.push_back(
-        {keep, [cell, keep, router, vocab](Gi2Index& g) {
+        {keep, [cell, keep, router](Gi2Index& g) {
            // Drop the half that moved: re-index only queries with a term
            // still routed to `keep`.
            const std::vector<CellId> cs{cell};
            for (const auto& q : g.ExtractCell(cell)) {
-             for (const TermId t : q.expr.RoutingTerms(*vocab)) {
+             for (const TermId t : q.expr.RoutingTerms()) {
                if (router->Route(t) == keep) {
                  g.InsertIntoCells(q, cs);
                  break;
@@ -207,7 +206,7 @@ class ThreadedEngine::LiveMigrationExecutor : public MigrationExecutor {
     const CellRoute& route = c.router().plan().cells[cell];
     std::vector<WorkerId> sources;
     if (route.IsText()) {
-      sources = route.text->workers();
+      sources = route.text->DistinctWorkers();
     } else {
       sources.push_back(route.worker);
     }

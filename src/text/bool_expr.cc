@@ -208,33 +208,21 @@ std::vector<TermId> BoolExpr::DistinctTerms() const {
   return all;
 }
 
-std::vector<TermId> BoolExpr::LeastFrequentPerClause(
-    const Vocabulary& vocab) const {
-  std::vector<TermId> keys;
-  keys.reserve(clauses_.size());
-  for (const auto& clause : clauses_) {
-    keys.push_back(vocab.LeastFrequent(clause));
-  }
-  Normalize(keys);
-  return keys;
-}
-
-std::vector<TermId> BoolExpr::RoutingTerms(const Vocabulary& vocab) const {
-  if (clauses_.empty()) return {};
+void BoolExpr::ChooseRouting(const Vocabulary& vocab) {
+  if (clauses_.size() < 2) return;
   size_t best = 0;
   uint64_t best_cost = ~0ULL;
   for (size_t i = 0; i < clauses_.size(); ++i) {
     uint64_t cost = 0;
     for (const TermId t : clauses_[i]) cost += vocab.Count(t);
-    // Prefer cheaper clauses; among equals prefer fewer terms (less
-    // duplication), then earlier clauses for determinism.
     if (cost < best_cost ||
         (cost == best_cost && clauses_[i].size() < clauses_[best].size())) {
       best = i;
       best_cost = cost;
     }
   }
-  return clauses_[best];
+  std::rotate(clauses_.begin(), clauses_.begin() + best,
+              clauses_.begin() + best + 1);
 }
 
 size_t BoolExpr::TermSlots() const {

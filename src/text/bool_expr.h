@@ -80,18 +80,26 @@ class BoolExpr {
   // set, used for routing (q.K ∩ Ti ≠ ∅ tests).
   std::vector<TermId> DistinctTerms() const;
 
-  // For each clause, the least frequent term per `vocab`.
-  std::vector<TermId> LeastFrequentPerClause(const Vocabulary& vocab) const;
+  // Chooses the routing clause: the cheapest clause by summed term count in
+  // `vocab`, then the one with fewer terms (less duplication), then the
+  // earliest. The chosen clause moves to clauses()[0]; the others keep
+  // their order. Called once, where a query is admitted, so every later
+  // routing decision reads the same clause whatever the counts become.
+  void ChooseRouting(const Vocabulary& vocab);
 
-  // The terms GI2 and the gridt index key this query on: all terms of the
-  // *cheapest* clause (minimum total frequency). Any matching object must
-  // satisfy every clause, hence contains at least one term of the chosen
-  // clause, so indexing/routing a query under exactly these terms is
-  // complete. For AND-only queries (singleton clauses) this degenerates to
-  // the paper's "least frequent keyword". (Keying each clause's least
-  // frequent keyword alone — a literal reading of the paper — is incomplete
-  // for multi-clause OR queries; see bool_expr_test.)
-  std::vector<TermId> RoutingTerms(const Vocabulary& vocab) const;
+  // The terms GI2 and the gridt index key this query on: every term of
+  // clauses()[0], the routing clause chosen at admission (ChooseRouting).
+  // Any matching object satisfies every clause, hence contains at least one
+  // term of any one clause, so indexing/routing a query under exactly these
+  // terms is complete. For AND-only queries (singleton clauses) the chosen
+  // clause is the paper's "least frequent keyword". (Keying each clause's
+  // least frequent keyword alone — a literal reading of the paper — is
+  // incomplete for multi-clause OR queries; see bool_expr_test.) Empty for
+  // an empty expression.
+  const std::vector<TermId>& RoutingTerms() const {
+    static const std::vector<TermId> kNoTerms;
+    return clauses_.empty() ? kNoTerms : clauses_.front();
+  }
 
   // Number of stored term slots (for memory accounting).
   size_t TermSlots() const;

@@ -25,19 +25,6 @@ void Vocabulary::AddCount(TermId id, uint64_t n) {
   total_count_ += n;
 }
 
-TermId Vocabulary::LeastFrequent(const std::vector<TermId>& ids) const {
-  TermId best = ids.front();
-  uint64_t best_count = Count(best);
-  for (const TermId id : ids) {
-    const uint64_t c = Count(id);
-    if (c < best_count || (c == best_count && id < best)) {
-      best = id;
-      best_count = c;
-    }
-  }
-  return best;
-}
-
 std::vector<TermId> Vocabulary::TermsByFrequency() const {
   std::vector<TermId> ids(terms_.size());
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<TermId>(i);

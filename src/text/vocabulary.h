@@ -13,13 +13,16 @@ namespace ps2 {
 using TermId = uint32_t;
 inline constexpr TermId kInvalidTerm = ~TermId{0};
 
-// The term dictionary shared by dispatchers and workers. It interns term
-// strings to dense TermIds and tracks per-term occurrence counts so that:
-//  * dispatchers can pick the least frequent keyword of a CNF clause
-//    (Section IV-C: "looks up H1 using the least frequent keyword"),
+// The term dictionary of the facade. It interns term strings to dense
+// TermIds and tracks per-term occurrence counts so that:
+//  * admission can choose each query's routing clause, the least frequent
+//    keyword of the CNF (Section IV-C: "looks up H1 using the least
+//    frequent keyword"; BoolExpr::ChooseRouting),
 //  * text partitioners can weigh terms by frequency,
 //  * hybrid partitioning can build term-frequency vectors for the cosine
 //    similarity test.
+// Dispatchers and workers do not read it: a query carries its routing
+// clause, and objects carry TermIds.
 //
 // Frequencies here are corpus statistics (counted over a sample of objects),
 // not live counters; the paper's dispatchers likewise rely on a frequency
@@ -46,10 +49,6 @@ class Vocabulary {
   uint64_t TotalCount() const { return total_count_; }
 
   size_t size() const { return terms_.size(); }
-
-  // Returns the TermId with the smallest occurrence count among `ids`
-  // (ties broken by smaller id). `ids` must be non-empty.
-  TermId LeastFrequent(const std::vector<TermId>& ids) const;
 
   // Term ids sorted by descending count (rank 0 = most frequent). Recomputed
   // on demand; used by generators and the frequency-based partitioner.

@@ -85,7 +85,11 @@ STSQuery QueryGenerator::Next() {
       q1_style = region_is_q1_[RegionOf(center)];
       break;
   }
-  return MakeQuery(center, q1_style);
+  // Generated streams carry the query's insert and delete as copies, so
+  // choosing the routing clause here gives both tuples the same one.
+  STSQuery q = MakeQuery(center, q1_style);
+  q.expr.ChooseRouting(corpus_->vocab());
+  return q;
 }
 
 std::vector<STSQuery> QueryGenerator::Generate(size_t n) {

@@ -90,8 +90,9 @@ TEST_F(BoolExprTest, RoutingTermsAndOnlyIsLeastFrequentKeyword) {
   vocab_.AddCount(a, 100);
   vocab_.AddCount(b, 1);
   vocab_.AddCount(c, 50);
-  const BoolExpr e = BoolExpr::And({a, b, c});
-  const auto keys = e.RoutingTerms(vocab_);
+  BoolExpr e = BoolExpr::And({a, b, c});
+  e.ChooseRouting(vocab_);
+  const auto keys = e.RoutingTerms();
   ASSERT_EQ(keys.size(), 1u);
   EXPECT_EQ(keys[0], b);  // the paper's least frequent keyword
 }
@@ -103,8 +104,35 @@ TEST_F(BoolExprTest, RoutingTermsPicksCheapestClause) {
   vocab_.AddCount(c, 2);
   vocab_.AddCount(d, 3);
   // (a OR b) AND (c OR d): clause costs 20 vs 5 -> route by {c, d}.
-  const BoolExpr e = BoolExpr::Cnf({{a, b}, {c, d}});
-  EXPECT_EQ(e.RoutingTerms(vocab_), Sorted({c, d}));
+  BoolExpr e = BoolExpr::Cnf({{a, b}, {c, d}});
+  e.ChooseRouting(vocab_);
+  EXPECT_EQ(e.RoutingTerms(), Sorted({c, d}));
+}
+
+// The choice is made once: the chosen clause moves to the front (the other
+// clauses keep their order), and later count drift changes nothing until
+// ChooseRouting runs again.
+TEST_F(BoolExprTest, ChooseRoutingFixesTheClauseAgainstCountDrift) {
+  const TermId a = T("a"), b = T("b"), c = T("c");
+  vocab_.AddCount(a, 5);
+  vocab_.AddCount(b, 9);
+  vocab_.AddCount(c, 3);
+  BoolExpr e = BoolExpr::And({a, b, c});
+  e.ChooseRouting(vocab_);
+  ASSERT_EQ(e.clauses().size(), 3u);
+  EXPECT_EQ(e.clauses()[0], std::vector<TermId>{c});
+  EXPECT_EQ(e.clauses()[1], std::vector<TermId>{a});
+  EXPECT_EQ(e.clauses()[2], std::vector<TermId>{b});
+  vocab_.AddCount(c, 100);
+  EXPECT_EQ(e.RoutingTerms(), std::vector<TermId>{c});
+  EXPECT_TRUE(e.Matches(Sorted({a, b, c})));
+  // Ties on cost prefer the clause with fewer terms, then the earlier one.
+  const TermId d = T("d"), f = T("f");
+  BoolExpr tie = BoolExpr::Cnf({{d, f}, {b}});
+  vocab_.AddCount(d, 4);
+  vocab_.AddCount(f, 5);
+  tie.ChooseRouting(vocab_);
+  EXPECT_EQ(tie.RoutingTerms(), std::vector<TermId>{b});
 }
 
 // The completeness property that motivates routing by a whole clause: any
@@ -120,14 +148,23 @@ TEST_F(BoolExprTest, RoutingTermsCompleteness) {
   // Object {b, d} matches but contains neither least-frequent key (a, c).
   const auto obj = Sorted({b, d});
   ASSERT_TRUE(e.Matches(obj));
-  const auto lfk = e.LeastFrequentPerClause(vocab_);
+  // Each clause's least frequent keyword: a and c.
+  std::vector<TermId> lfk;
+  for (const auto& clause : e.clauses()) {
+    lfk.push_back(*std::min_element(
+        clause.begin(), clause.end(), [this](TermId x, TermId y) {
+          return vocab_.Count(x) < vocab_.Count(y);
+        }));
+  }
   bool lfk_hits = false;
   for (const TermId t : lfk) {
     lfk_hits |= std::binary_search(obj.begin(), obj.end(), t);
   }
   EXPECT_FALSE(lfk_hits) << "counter-example no longer demonstrates the bug";
   // Whole-clause routing does hit.
-  const auto keys = e.RoutingTerms(vocab_);
+  BoolExpr routed = e;
+  routed.ChooseRouting(vocab_);
+  const auto keys = routed.RoutingTerms();
   bool hits = false;
   for (const TermId t : keys) {
     hits |= std::binary_search(obj.begin(), obj.end(), t);
@@ -144,9 +181,9 @@ TEST_F(BoolExprTest, RoutingTermsCompletenessExhaustive) {
     vocab_.AddCount(t, 1 + (i * 7) % 5);
     u.push_back(t);
   }
-  const BoolExpr e =
-      BoolExpr::Cnf({{u[0], u[1]}, {u[2], u[3], u[4]}, {u[5]}});
-  const auto keys = e.RoutingTerms(vocab_);
+  BoolExpr e = BoolExpr::Cnf({{u[0], u[1]}, {u[2], u[3], u[4]}, {u[5]}});
+  e.ChooseRouting(vocab_);
+  const auto keys = e.RoutingTerms();
   for (int mask = 0; mask < 64; ++mask) {
     std::vector<TermId> obj;
     for (int i = 0; i < 6; ++i) {

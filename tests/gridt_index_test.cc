@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "partition/text_util.h"
 #include "test_util.h"
 
@@ -31,10 +33,12 @@ class GridtIndexTest : public ::testing::Test {
     return plan;
   }
 
+  // An admitted query: its routing clause is chosen against vocab_.
   STSQuery Query(QueryId id, std::vector<TermId> terms, Rect region) {
     STSQuery q;
     q.id = id;
     q.expr = BoolExpr::And(std::move(terms));
+    q.expr.ChooseRouting(vocab_);
     q.region = region;
     return q;
   }
@@ -111,6 +115,43 @@ TEST_F(GridtIndexTest, TextPlanRoutesQueriesByRoutingTerms) {
   // Object with both terms reaches worker 1 via key b.
   index.RouteObject(Object(2, Point{2, 2}, {a_, b_}), &out);
   EXPECT_EQ(out, (std::vector<WorkerId>{1}));
+}
+
+// The router's worker list doubles as the hash-fallback table for terms
+// absent from its map, so remapping a worker's share must keep positions:
+// a query indexed through the fallback at `from` (now held by `to`) must
+// have its delete routed to `to`, and one at another worker must stay put.
+TEST_F(GridtIndexTest, RemapCellWorkerKeepsHashFallbackPositions) {
+  PartitionPlan plan = SpacePlan();
+  plan.num_workers = 6;
+  GridtIndex index(std::move(plan));
+  const CellId cell = grid_.CellOf(Point{1, 1});
+  index.SetCellTextRoute(cell, {}, {2, 1});
+  const Rect region(0.5, 0.5, 1.5, 1.5);
+  std::vector<STSQuery> queries;
+  std::vector<WorkerId> holder;
+  for (int i = 0; i < 8; ++i) {
+    queries.push_back(
+        Query(10 + i, {vocab_.Intern("p" + std::to_string(i))}, region));
+    const auto routes = index.RouteInsert(queries.back());
+    ASSERT_EQ(routes.size(), 1u);
+    holder.push_back(routes[0].worker);
+  }
+  ASSERT_NE(std::count(holder.begin(), holder.end(), 2), 0);
+  ASSERT_NE(std::count(holder.begin(), holder.end(), 1), 0);
+  // Worker 2's share of the cell migrates to worker 5.
+  index.RemapCellWorker(cell, 2, 5);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const WorkerId now = holder[i] == 2 ? 5 : holder[i];
+    const TermId t = queries[i].expr.RoutingTerms().front();
+    std::vector<WorkerId> out;
+    index.RouteObject(Object(100 + i, Point{1, 1}, {t}), &out);
+    EXPECT_EQ(out, (std::vector<WorkerId>{now})) << "query " << i;
+    const auto routes = index.RouteDelete(queries[i]);
+    ASSERT_EQ(routes.size(), 1u);
+    EXPECT_EQ(routes[0].worker, now) << "query " << i;
+  }
+  EXPECT_EQ(index.NumH2Entries(), 0u);
 }
 
 TEST_F(GridtIndexTest, ReassignCellRedirectsObjects) {

@@ -127,15 +127,15 @@ TEST(HybridTest, TotalLoadAtMostPureStrategies) {
   KdTreeSpacePartitioner kdtree;
   const double h =
       EstimatePlanLoad(hybrid.Build(w.sample, w.vocab, cfg), w.sample,
-                       w.vocab, cfg.cost)
+                       cfg.cost)
           .total_load;
   const double t =
       EstimatePlanLoad(metric.Build(w.sample, w.vocab, cfg), w.sample,
-                       w.vocab, cfg.cost)
+                       cfg.cost)
           .total_load;
   const double s =
       EstimatePlanLoad(kdtree.Build(w.sample, w.vocab, cfg), w.sample,
-                       w.vocab, cfg.cost)
+                       cfg.cost)
           .total_load;
   // Allow 10% slack: hybrid optimizes on its own internal estimates.
   EXPECT_LE(h, 1.10 * std::min(t, s));
@@ -147,7 +147,7 @@ TEST(HybridTest, RespectsBalanceConstraintWhenAchievable) {
   cfg.sigma = 2.0;
   HybridPartitioner hybrid;
   const PartitionPlan plan = hybrid.Build(w.sample, w.vocab, cfg);
-  const auto report = EstimatePlanLoad(plan, w.sample, w.vocab, cfg.cost);
+  const auto report = EstimatePlanLoad(plan, w.sample, cfg.cost);
   // The internal balance loop targets sigma on its leaf estimates; the
   // realized balance can be somewhat worse, but must stay in the ballpark.
   EXPECT_LT(report.balance, cfg.sigma * 2.5);

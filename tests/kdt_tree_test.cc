@@ -38,8 +38,8 @@ TEST_P(KdtEquivalenceTest, QueryRoutingMatchesPlan) {
   const KdtTree tree(plan);
   std::vector<PartitionPlan::QueryRoute> via_plan, via_tree;
   for (const auto& q : w.sample.inserts) {
-    plan.RouteQuery(q, w.vocab, &via_plan);
-    tree.RouteQuery(q, w.vocab, &via_tree);
+    plan.RouteQuery(q, &via_plan);
+    tree.RouteQuery(q, &via_tree);
     ASSERT_EQ(via_plan.size(), via_tree.size()) << GetParam();
     for (size_t i = 0; i < via_plan.size(); ++i) {
       EXPECT_EQ(via_plan[i].worker, via_tree[i].worker);

@@ -62,13 +62,13 @@ TEST_P(PlanEstimateSweepTest, MoreWorkersNeverBeatSingleWorkerTotal) {
   const double single =
       EstimatePlanLoad(
           MakePartitioner(GetParam())->Build(w.sample, w.vocab, cfg),
-          w.sample, w.vocab, cfg.cost)
+          w.sample, cfg.cost)
           .total_load;
   for (int m : {2, 4, 8}) {
     cfg.num_workers = m;
     const auto report = EstimatePlanLoad(
         MakePartitioner(GetParam())->Build(w.sample, w.vocab, cfg), w.sample,
-        w.vocab, cfg.cost);
+        cfg.cost);
     EXPECT_GE(report.balance, 1.0);
     // Linear terms can only grow with duplication; the c1 product term
     // shrinks by splitting, so no strict global ordering exists — but the

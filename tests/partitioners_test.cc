@@ -106,7 +106,7 @@ TEST_P(PartitionerPropertyTest, EstimatedLoadPositiveAndFinite) {
     const PartitionPlan plan =
         partitioner->Build(w.sample, w.vocab, Config(workers));
     const auto report =
-        EstimatePlanLoad(plan, w.sample, w.vocab, CostModel{});
+        EstimatePlanLoad(plan, w.sample, CostModel{});
     EXPECT_GT(report.total_load, 0.0) << GetParam();
     // Every worker used by at least one partitioner output; allow empty
     // workers but the busiest must carry work.
@@ -134,7 +134,7 @@ TEST(PartitionerBalanceTest, GridAndFrequencyBalanceLpt) {
   for (const char* name : {"grid", "frequency"}) {
     const PartitionPlan plan =
         MakePartitioner(name)->Build(w.sample, w.vocab, cfg);
-    const auto report = EstimatePlanLoad(plan, w.sample, w.vocab, cfg.cost);
+    const auto report = EstimatePlanLoad(plan, w.sample, cfg.cost);
     EXPECT_LT(report.balance, 6.0) << name;
   }
 }

@@ -92,7 +92,7 @@ TEST_F(PlanTest, RouteQuerySpansBothHalves) {
   q.expr = BoolExpr::And({ta_});
   q.region = Rect(40, 40, 60, 60);  // straddles the halves
   std::vector<PartitionPlan::QueryRoute> routes;
-  plan.RouteQuery(q, vocab_, &routes);
+  plan.RouteQuery(q, &routes);
   // Reaches at least one space worker and worker 2 (term a).
   bool has_space = false, has_text = false;
   for (const auto& r : routes) {
@@ -112,7 +112,7 @@ TEST_F(PlanTest, RouteQueryCellsOverlapRegion) {
   q.expr = BoolExpr::And({ta_});
   q.region = Rect(10, 10, 30, 30);
   std::vector<PartitionPlan::QueryRoute> routes;
-  plan.RouteQuery(q, vocab_, &routes);
+  plan.RouteQuery(q, &routes);
   for (const auto& r : routes) {
     for (const CellId c : r.cells) {
       EXPECT_TRUE(plan.grid.CellRect(c).Intersects(q.region));
@@ -160,7 +160,7 @@ TEST(PlanLoadTest, EstimateCountsDuplication) {
   q.region = Rect(0, 0, 10, 10);
   sample.inserts.push_back(q);
 
-  const auto report = EstimatePlanLoad(plan, sample, vocab, CostModel{});
+  const auto report = EstimatePlanLoad(plan, sample, CostModel{});
   EXPECT_EQ(report.tallies[0].objects, 2u);  // both objects carry term a
   EXPECT_EQ(report.tallies[1].objects, 1u);  // only object 1 carries b
   EXPECT_EQ(report.tallies[0].inserts, 1u);

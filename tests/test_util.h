@@ -84,6 +84,7 @@ inline TestWorkload MakeWorkload(uint64_t seed, size_t num_objects = 1500,
     STSQuery q;
     q.id = i + 1;
     q.expr = rng.NextBernoulli(0.3) ? BoolExpr::Or(ts) : BoolExpr::And(ts);
+    q.expr.ChooseRouting(w.vocab);
     q.region = Rect::Centered(c, rng.NextUniform(2, 25),
                               rng.NextUniform(2, 25));
     w.sample.inserts.push_back(std::move(q));

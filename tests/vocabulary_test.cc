@@ -33,27 +33,6 @@ TEST(VocabularyTest, CountsAccumulate) {
   EXPECT_EQ(v.Count(999), 0u);  // unknown id
 }
 
-TEST(VocabularyTest, LeastFrequentPicksMinimum) {
-  Vocabulary v;
-  const TermId a = v.Intern("a");
-  const TermId b = v.Intern("b");
-  const TermId c = v.Intern("c");
-  v.AddCount(a, 10);
-  v.AddCount(b, 2);
-  v.AddCount(c, 5);
-  EXPECT_EQ(v.LeastFrequent({a, b, c}), b);
-  EXPECT_EQ(v.LeastFrequent({a}), a);
-}
-
-TEST(VocabularyTest, LeastFrequentTieBreaksBySmallerId) {
-  Vocabulary v;
-  const TermId a = v.Intern("a");
-  const TermId b = v.Intern("b");
-  v.AddCount(a, 2);
-  v.AddCount(b, 2);
-  EXPECT_EQ(v.LeastFrequent({b, a}), std::min(a, b));
-}
-
 TEST(VocabularyTest, TermsByFrequencyDescending) {
   Vocabulary v;
   const TermId a = v.Intern("a");

@@ -39,10 +39,11 @@ TEST_F(WorkloadStatsTest, TermStatsCountsObjectAndRoutingFrequencies) {
   s.objects.push_back(SpatioTextualObject::FromTerms(2, Point{0, 0}, {a}));
   STSQuery q;
   q.id = 1;
-  q.expr = BoolExpr::And({a, b});  // routing term = least frequent = b
+  q.expr = BoolExpr::And({a, b});
+  q.expr.ChooseRouting(vocab_);  // routing term = least frequent = b
   q.region = Rect(0, 0, 1, 1);
   s.inserts.push_back(q);
-  const TermStats stats = TermStats::Compute(s, vocab_);
+  const TermStats stats = TermStats::Compute(s);
   EXPECT_EQ(stats.ObjectFreq(a), 2u);
   EXPECT_EQ(stats.ObjectFreq(b), 1u);
   EXPECT_EQ(stats.QueryRoutingFreq(b), 1u);

@@ -281,7 +281,7 @@ int main(int argc, char** argv) {
   PrintPlanMap(plan);
 
   const PlanLoadReport report =
-      EstimatePlanLoad(plan, stream.sample, vocab, cfg.cost);
+      EstimatePlanLoad(plan, stream.sample, cfg.cost);
   std::printf("\nestimated Definition-1 loads (sample of %zu objects, "
               "%zu inserts):\n",
               stream.sample.objects.size(), stream.sample.inserts.size());
